@@ -38,6 +38,13 @@ echo "== tier-1: build + test =="
 cargo build --release
 cargo test -q
 
+echo "== crate equivalence suites: scan/backend equivalence, federation identity, proptests =="
+# Tier-1 runs only the root package; these crates hold the oracles the
+# shared workload driver is pinned against (scan_equivalence,
+# backend_equivalence, the 1-shard federation identity with run_harness,
+# prop_federation).
+cargo test --release -q -p vod-server -p vod-federation -p vod-bench
+
 echo "== cross-validation: model vs sim vs server =="
 cargo test --release -q --test cross_validation
 
@@ -66,7 +73,10 @@ test "$(grep -c '"seed"' results/FEDERATION_REPORT.json)" -eq 42
 test "$(grep -c '"violations": 0' results/FEDERATION_REPORT.json)" -eq 42
 
 echo "== scale: wheel+arena engine smoke (downscaled; the full run uses --sessions 1000000) =="
-cargo run --release -p vod-bench --bin scale -- --sessions 50000 --ticks 120
+# The smoke writes under target/ so the committed headline
+# results/BENCH_scale.json (the 1M-session run) is never overwritten.
+cargo run --release -p vod-bench --bin scale -- --sessions 50000 --ticks 120 \
+  --out target/BENCH_scale_smoke.json
 
 echo "== backend_compare: all three DeliveryBackends, reduced grid (see DESIGN.md §12) =="
 cargo run --release -p vod-bench --bin backend_compare -- --smoke

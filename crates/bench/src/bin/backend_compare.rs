@@ -24,6 +24,7 @@ use vod_dist::kinds::Gamma;
 use vod_runtime::BackendKind;
 use vod_server::{
     run_harness_backend, BackendRun, HarnessConfig, HostedMovie, MovieId, ServerConfig,
+    WorkloadConfig, WorkloadShape,
 };
 use vod_sizing::HardwareSpec;
 use vod_workload::BehaviorModel;
@@ -80,12 +81,14 @@ fn harness_config(catalog: u32, interarrival: f64, g: &Grid) -> HarnessConfig {
             piggyback: None,
             ..ServerConfig::provisioned(movies, VCR_RESERVE)
         },
-        movie: MovieId(0),
-        extra_movies: (1..catalog).map(MovieId).collect(),
-        behavior: behavior(),
-        mean_interarrival: interarrival,
-        warmup: g.warmup,
-        measure: g.measure,
+        workload: WorkloadConfig {
+            movies: (0..catalog as usize).collect(),
+            behavior: behavior(),
+            mean_interarrival: interarrival,
+            warmup: g.warmup,
+            measure: g.measure,
+            shape: WorkloadShape::RoundRobin,
+        },
     }
 }
 

@@ -1,8 +1,8 @@
 //! Chaos matrix (schema v2): drive **all three delivery backends**
-//! through a seed × fault-plan grid — the incumbent batching server via
-//! [`vod_server::run_chaos`], pyramid broadcast and dedicated unicast
-//! via [`vod_server::run_chaos_backend`] — checking after **every
-//! tick** that
+//! (the incumbent batching server, pyramid broadcast, dedicated
+//! unicast) through a seed × fault-plan grid via
+//! [`vod_server::run_chaos_backend`], checking after **every tick**
+//! that
 //!
 //! * no session is lost or double-counted,
 //! * streams are conserved (`in_use + free + failed == provisioned`,
@@ -32,8 +32,8 @@ use vod_dist::kinds::Gamma;
 use vod_model::{Rates, SystemParams};
 use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan};
 use vod_server::{
-    run_chaos, run_chaos_backend, run_harness, run_harness_backend, ChaosOutcome, HarnessConfig,
-    HostedMovie, MovieId, ServerConfig,
+    run_chaos_backend, run_harness_backend, ChaosOutcome, HarnessConfig, HostedMovie, MovieId,
+    ServerConfig, WorkloadConfig, WorkloadShape,
 };
 use vod_sim::{run_seeded, SimConfig};
 use vod_workload::BehaviorModel;
@@ -58,12 +58,14 @@ fn harness_config() -> HarnessConfig {
             piggyback: None,
             ..ServerConfig::provisioned(vec![movie], 40)
         },
-        movie: MovieId(0),
-        extra_movies: vec![],
-        behavior: behavior(),
-        mean_interarrival: 2.0,
-        warmup: WARMUP,
-        measure: MEASURE,
+        workload: WorkloadConfig {
+            movies: vec![0],
+            behavior: behavior(),
+            mean_interarrival: 2.0,
+            warmup: WARMUP,
+            measure: MEASURE,
+            shape: WorkloadShape::RoundRobin,
+        },
     }
 }
 
@@ -129,34 +131,12 @@ fn sim_hit_ratio(plan: &FaultPlan, seed: u64, backend: BackendKind) -> f64 {
     run_seeded(&cfg, seed).runtime.hit_ratio()
 }
 
-fn json_case(seed: u64, name: &str, plan: &FaultPlan, out: &ChaosOutcome, sim_hit: f64) -> String {
-    let violations: Vec<String> = out
-        .violations
-        .iter()
-        .map(|v| format!("\"{}\"", v.replace('"', "'")))
-        .collect();
-    format!(
-        "    {{\"seed\": {seed}, \"plan\": \"{name}\", \"plan_events\": {}, \
-         \"violations\": {}, \"violation_details\": [{}], \
-         \"sessions_opened\": {}, \"sessions_done\": {}, \"degraded_at_end\": {}, \
-         \"sim_hit_ratio\": {:.6}, \"metrics\": {}}}",
-        plan.to_json(),
-        out.violation_count,
-        violations.join(", "),
-        out.sessions_opened,
-        out.sessions_done,
-        out.degraded_at_end,
-        sim_hit,
-        out.metrics.to_json(),
-    )
-}
-
-/// Schema-v2 cell for the non-incumbent backends: [`json_case`] plus a
-/// `"backend"` discriminator. The incumbent's cells keep the v1 shape
-/// (no `backend` key) so they stay byte-identical across reports.
-fn json_case_backend(
+/// One report cell. Non-incumbent backends get a `"backend"` key after
+/// the seed (schema v2); the incumbent's cells (`backend: None`) keep the
+/// v1 shape so they stay byte-identical across reports.
+fn json_case(
     seed: u64,
-    backend: BackendKind,
+    backend: Option<BackendKind>,
     name: &str,
     plan: &FaultPlan,
     out: &ChaosOutcome,
@@ -167,13 +147,14 @@ fn json_case_backend(
         .iter()
         .map(|v| format!("\"{}\"", v.replace('"', "'")))
         .collect();
+    let backend = backend.map_or(String::new(), |b| {
+        format!(" \"backend\": \"{}\",", b.name())
+    });
     format!(
-        "    {{\"seed\": {seed}, \"backend\": \"{}\", \"plan\": \"{name}\", \
-         \"plan_events\": {}, \
+        "    {{\"seed\": {seed},{backend} \"plan\": \"{name}\", \"plan_events\": {}, \
          \"violations\": {}, \"violation_details\": [{}], \
          \"sessions_opened\": {}, \"sessions_done\": {}, \"degraded_at_end\": {}, \
          \"sim_hit_ratio\": {:.6}, \"metrics\": {}}}",
-        backend.name(),
         plan.to_json(),
         out.violation_count,
         violations.join(", "),
@@ -205,49 +186,14 @@ fn main() -> ExitCode {
         "sim hit",
     ]);
     for seed in SEEDS {
-        // Incumbent batching/buffering leg: untouched v1 cells, pinned
-        // byte-identical across reports.
-        let fault_free = run_harness(&cfg, seed);
-        for (name, plan) in plans() {
-            let out = run_chaos(&cfg, seed, &plan, policy);
-            let again = run_chaos(&cfg, seed, &plan, policy);
-            if out != again {
-                failures.push(format!(
-                    "seed {seed} plan {name}: outcome not bitwise deterministic"
-                ));
-            }
-            if plan.is_empty() && out.metrics != fault_free {
-                failures.push(format!(
-                    "seed {seed} plan {name}: empty plan diverged from run_harness"
-                ));
-            }
-            if out.violation_count > 0 {
-                failures.push(format!(
-                    "seed {seed} plan {name}: {} invariant violation(s), first: {}",
-                    out.violation_count,
-                    out.violations.first().map_or("?", |v| v.as_str()),
-                ));
-            }
-            let sim_hit = sim_hit_ratio(&plan, seed, BackendKind::BatchingBuffering);
-            t.row(vec![
-                seed.to_string(),
-                "batching".to_string(),
-                name.to_string(),
-                out.metrics.faults_injected.to_string(),
-                out.violation_count.to_string(),
-                out.metrics.degraded_entries.to_string(),
-                out.metrics.degraded_rejoined.to_string(),
-                out.metrics.degraded_dedicated.to_string(),
-                out.metrics.denied_transient.to_string(),
-                out.metrics.denied_permanent.to_string(),
-                num(out.metrics.hit_ratio(), 3),
-                num(sim_hit, 3),
-            ]);
-            json_cases.push(json_case(seed, name, &plan, &out, sim_hit));
-        }
-        // Alternative backends: same grid through the backend-generic
-        // harness, with each backend's own invariant audits on.
-        for kind in [BackendKind::PyramidBroadcast, BackendKind::DedicatedStream] {
+        // Incumbent first, then the alternative backends: the same grid
+        // through the backend-generic harness, each backend with its own
+        // invariant audits on.
+        for kind in [
+            BackendKind::BatchingBuffering,
+            BackendKind::PyramidBroadcast,
+            BackendKind::DedicatedStream,
+        ] {
             let bname = kind.name();
             let fault_free = run_harness_backend(&cfg, kind, seed);
             for (name, plan) in plans() {
@@ -277,10 +223,7 @@ fn main() -> ExitCode {
                 let sim_hit = sim_hit_ratio(&plan, seed, kind);
                 t.row(vec![
                     seed.to_string(),
-                    match kind {
-                        BackendKind::PyramidBroadcast => "pyramid".to_string(),
-                        _ => "dedicated".to_string(),
-                    },
+                    bname.split('_').next().unwrap_or(bname).to_string(),
                     name.to_string(),
                     out.metrics.faults_injected.to_string(),
                     out.violation_count.to_string(),
@@ -292,7 +235,9 @@ fn main() -> ExitCode {
                     num(out.metrics.hit_ratio(), 3),
                     num(sim_hit, 3),
                 ]);
-                json_cases.push(json_case_backend(seed, kind, name, &plan, out, sim_hit));
+                // The incumbent's cells keep the v1 shape (no backend key).
+                let tagged = (kind != BackendKind::BatchingBuffering).then_some(kind);
+                json_cases.push(json_case(seed, tagged, name, &plan, out, sim_hit));
             }
         }
     }

@@ -19,7 +19,9 @@ use std::sync::Arc;
 use vod_bench::table::{num, Table};
 use vod_dist::kinds::Gamma;
 use vod_model::{p_hit_single_dist, ModelOptions, Rates, SystemParams, VcrMix};
-use vod_server::{HarnessConfig, HostedMovie, MovieId, ServerConfig};
+use vod_server::{
+    HarnessConfig, HostedMovie, MovieId, ServerConfig, WorkloadConfig, WorkloadShape,
+};
 use vod_sim::{run_seeded, SimConfig};
 use vod_workload::BehaviorModel;
 
@@ -77,12 +79,14 @@ fn main() {
                 piggyback: None,
                 ..ServerConfig::provisioned(vec![movie], 80)
             },
-            movie: MovieId(0),
-            extra_movies: vec![],
-            behavior: behavior(),
-            mean_interarrival: sim_cfg.mean_interarrival,
-            warmup: sim_cfg.warmup as u64,
-            measure: (sim_cfg.horizon - sim_cfg.warmup) as u64,
+            workload: WorkloadConfig {
+                movies: vec![0],
+                behavior: behavior(),
+                mean_interarrival: sim_cfg.mean_interarrival,
+                warmup: sim_cfg.warmup as u64,
+                measure: (sim_cfg.horizon - sim_cfg.warmup) as u64,
+                shape: WorkloadShape::RoundRobin,
+            },
         };
         let server = vod_server::run_harness(&harness, SEED);
 

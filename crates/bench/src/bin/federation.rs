@@ -26,13 +26,12 @@ use std::sync::Arc;
 
 use vod_bench::table::Table;
 use vod_dist::kinds::Gamma;
-use vod_federation::{
-    run_federation, FederationConfig, FederationHarnessConfig, FederationOutcome, ShardSpec,
-    WorkloadShape,
-};
+use vod_federation::{run_federation, FederationConfig, FederationOutcome, ShardSpec};
 use vod_model::{Rates, SystemParams};
 use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan};
-use vod_server::{run_harness, HarnessConfig, HostedMovie, MovieId, ServerConfig};
+use vod_server::{
+    run_harness, HarnessConfig, HostedMovie, MovieId, ServerConfig, WorkloadConfig, WorkloadShape,
+};
 use vod_workload::BehaviorModel;
 
 const MOVIE_LEN: f64 = 120.0;
@@ -73,15 +72,14 @@ fn federation_config(shards: usize) -> FederationConfig {
     }
 }
 
-fn workload_config(shape: WorkloadShape) -> FederationHarnessConfig {
-    FederationHarnessConfig {
-        movie: 0,
-        extra_movies: vec![],
+fn workload_config(shape: WorkloadShape) -> WorkloadConfig {
+    WorkloadConfig {
+        movies: vec![0],
         behavior: behavior(),
         mean_interarrival: 2.0,
         warmup: WARMUP,
         measure: MEASURE,
-        workload: shape,
+        shape,
     }
 }
 
@@ -259,12 +257,7 @@ fn main() -> ExitCode {
         // bitwise-identical to the plain harness.
         let plain = HarnessConfig {
             server: shard_server(),
-            movie: MovieId(0),
-            extra_movies: vec![],
-            behavior: behavior(),
-            mean_interarrival: 2.0,
-            warmup: WARMUP,
-            measure: MEASURE,
+            workload: workload_config(WorkloadShape::RoundRobin),
         };
         let reference = run_harness(&plain, seed);
         for shards in SHARD_COUNTS {

@@ -1,76 +1,11 @@
-//! Seeded federation workload driver.
-//!
-//! [`run_federation`] replicates the `vod-server` harness `drive` loop
-//! — same RNG construction, same arrival process, same interaction
-//! dispatch, same per-tick invariant checks — on top of a
-//! [`Federation`] instead of a single backend. With one shard, an empty
-//! fault plan, and the [`WorkloadShape::RoundRobin`] shape, the RNG
-//! consumption sequence is *identical* to `run_harness`, so shard 0's
-//! measured [`RuntimeMetrics`] are bitwise equal to the plain harness
-//! on the same config/seed (pinned by the `federation_identity` test
-//! and asserted again by the bench gate).
+//! Seeded federation workload runs: [`run_federation`] builds a
+//! [`Federation`] and hands it to the `vod-server` workload loop
+//! ([`drive`]), the same loop behind `run_harness`.
 
-use rand::RngCore;
-use vod_dist::rng::{exponential, seeded};
 use vod_runtime::{FaultPlan, FederationMetrics, RuntimeMetrics};
-use vod_workload::BehaviorModel;
+use vod_server::{drive, WorkloadConfig};
 
-use crate::front::{FedSessionId, Federation, FederationConfig};
-use vod_server::SessionStatus;
-
-/// How arrivals pick movies (and how the arrival rate moves) over the
-/// run. [`RoundRobin`](WorkloadShape::RoundRobin) consumes no extra
-/// randomness and is the bitwise-identity shape; the other two draw one
-/// extra `u64` per arrival (Zipf) or modulate the arrival mean (flash
-/// crowd), deliberately diverging from the plain harness.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WorkloadShape {
-    /// Cycle through the catalog in arrival order (the harness shape).
-    RoundRobin,
-    /// Zipf-distributed movie popularity whose skew drifts linearly
-    /// from `start_skew` to `end_skew` across the horizon: the hot set
-    /// migrates, stressing placement maps sized for the initial skew.
-    ZipfDrift {
-        /// Skew exponent at tick 0.
-        start_skew: f64,
-        /// Skew exponent at the final tick.
-        end_skew: f64,
-    },
-    /// A flash crowd: inside `[at, at + duration)` every arrival
-    /// requests `movie` and the arrival mean divides by `factor`.
-    FlashCrowd {
-        /// First tick of the crowd window.
-        at: u64,
-        /// Window length in ticks.
-        duration: u64,
-        /// Arrival-rate multiplier (mean interarrival ÷ `factor`).
-        factor: f64,
-        /// Global movie index the crowd requests.
-        movie: usize,
-    },
-}
-
-/// Workload configuration for [`run_federation`] (the federation
-/// analogue of the harness config: same fields, global movie indices
-/// instead of `MovieId`s, plus a [`WorkloadShape`]).
-#[derive(Clone)]
-pub struct FederationHarnessConfig {
-    /// Primary movie (global index) every arrival requests first.
-    pub movie: usize,
-    /// Further movies arrivals cycle through after
-    /// [`movie`](Self::movie); empty keeps a single-movie workload.
-    pub extra_movies: Vec<usize>,
-    /// Viewer interaction behavior (same model the harness consumes).
-    pub behavior: BehaviorModel,
-    /// Mean minutes between viewer arrivals (Poisson process).
-    pub mean_interarrival: f64,
-    /// Warm-up ticks excluded from measurement.
-    pub warmup: u64,
-    /// Measured ticks after warm-up.
-    pub measure: u64,
-    /// Movie-selection / arrival-rate shape.
-    pub workload: WorkloadShape,
-}
+use crate::front::{Federation, FederationConfig};
 
 /// Result of one [`run_federation`] run.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,184 +32,35 @@ pub struct FederationOutcome {
     pub ticks: u64,
 }
 
-/// Cap on stored violation strings (mirrors the harness cap).
-const MAX_VIOLATION_REPORTS: usize = 16;
-
-/// Pick the movie for arrival number `arrivals` at tick `minute`.
-fn select_movie(
-    cfg: &FederationHarnessConfig,
-    arrivals: u64,
-    minute: u64,
-    horizon: u64,
-    rng: &mut dyn RngCore,
-) -> usize {
-    let catalog_len = 1 + cfg.extra_movies.len();
-    let round_robin = |arrivals: u64| {
-        // Same arithmetic as the harness driver: slot 0 is the primary.
-        let slot = (arrivals % catalog_len as u64) as usize;
-        if slot == 0 {
-            cfg.movie
-        } else {
-            cfg.extra_movies[slot - 1]
-        }
-    };
-    match cfg.workload {
-        WorkloadShape::RoundRobin => round_robin(arrivals),
-        WorkloadShape::ZipfDrift {
-            start_skew,
-            end_skew,
-        } => {
-            let frac = if horizon == 0 {
-                0.0
-            } else {
-                minute as f64 / horizon as f64
-            };
-            let skew = start_skew + (end_skew - start_skew) * frac;
-            let weights: Vec<f64> = (0..catalog_len)
-                .map(|r| 1.0 / ((r + 1) as f64).powf(skew))
-                .collect();
-            let total: f64 = weights.iter().sum();
-            let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * total;
-            let mut acc = 0.0;
-            for (r, w) in weights.iter().enumerate() {
-                acc += w;
-                if u < acc {
-                    return if r == 0 {
-                        cfg.movie
-                    } else {
-                        cfg.extra_movies[r - 1]
-                    };
-                }
-            }
-            round_robin(arrivals)
-        }
-        WorkloadShape::FlashCrowd {
-            at,
-            duration,
-            movie,
-            ..
-        } => {
-            if minute >= at && minute < at.saturating_add(duration) {
-                movie
-            } else {
-                round_robin(arrivals)
-            }
-        }
-    }
-}
-
-/// Effective mean interarrival at `minute` under the workload shape.
-fn effective_mean(cfg: &FederationHarnessConfig, minute: u64) -> f64 {
-    match cfg.workload {
-        WorkloadShape::FlashCrowd {
-            at,
-            duration,
-            factor,
-            ..
-        } if minute >= at && minute < at.saturating_add(duration) => {
-            cfg.mean_interarrival / factor.max(1.0)
-        }
-        _ => cfg.mean_interarrival,
-    }
-}
-
-/// Drive a federation built from `config` with the seeded workload,
-/// injecting the global `plan` and auditing
-/// [`Federation::check_invariants`] plus [`FederationMetrics`]
-/// monotonicity after every tick. Same `(config, plan, cfg, seed)` ⇒
-/// bitwise-identical outcome.
+/// Drive a federation built from `config` with the seeded `workload`
+/// (movies are global placement indices), injecting the global `plan`
+/// and auditing [`Federation::check_invariants`] plus
+/// [`FederationMetrics`] monotonicity after every tick. Same `(config,
+/// plan, workload, seed)` ⇒ bitwise-identical outcome.
+///
+/// # Panics
+///
+/// Panics if `config` is malformed (see [`Federation::new`]), or if the
+/// workload's movie list is empty or names a movie (the flash-crowd one
+/// included) outside the placement map (see [`drive`]).
 pub fn run_federation(
     config: FederationConfig,
     plan: &FaultPlan,
-    cfg: &FederationHarnessConfig,
+    workload: &WorkloadConfig,
     seed: u64,
 ) -> FederationOutcome {
     let mut fed = Federation::new(config, plan.clone());
-    let mut rng = seeded(seed);
-    let mut next_arrival = exponential(&mut rng, cfg.mean_interarrival);
-    // (session, tick at which its next interaction is due)
-    let mut pending: Vec<(FedSessionId, u64)> = Vec::new();
-    let horizon = cfg.warmup + cfg.measure;
-    let mut arrivals: u64 = 0;
-    let mut sessions_opened: u64 = 0;
-    let mut sessions_denied_admission: u64 = 0;
-    let mut violation_count: u64 = 0;
-    let mut violations: Vec<String> = Vec::new();
-    let mut prev_fed: Option<FederationMetrics> = None;
-    for minute in 0..horizon {
-        if minute == cfg.warmup {
-            fed.reset_metrics();
-            prev_fed = None;
-        }
-        while next_arrival < (minute + 1) as f64 {
-            let movie = select_movie(cfg, arrivals, minute, horizon, &mut rng);
-            let opened = fed.open_session(movie);
-            arrivals += 1;
-            // The gap draw happens whether or not admission succeeded, so
-            // the RNG stream stays aligned with the plain harness.
-            let gap = cfg.behavior.next_interaction_gap(&mut rng);
-            match opened {
-                Some(id) => {
-                    sessions_opened += 1;
-                    pending.push((id, minute + (gap.ceil() as u64).max(1)));
-                }
-                None => sessions_denied_admission += 1,
-            }
-            next_arrival += exponential(&mut rng, effective_mean(cfg, minute));
-        }
-        let mut i = 0;
-        while i < pending.len() {
-            let (id, due) = pending[i];
-            if due > minute {
-                i += 1;
-                continue;
-            }
-            match fed.session_status(id) {
-                SessionStatus::Done => {
-                    pending.swap_remove(i);
-                    continue;
-                }
-                SessionStatus::Shared | SessionStatus::Dedicated => {
-                    let req = cfg.behavior.sample_request(&mut rng);
-                    let magnitude = (req.magnitude.round() as u32).max(1);
-                    let _ = fed.request_vcr(id, req.kind, magnitude);
-                    let gap = cfg.behavior.next_interaction_gap(&mut rng);
-                    pending[i].1 = minute + (gap.ceil() as u64).max(1);
-                }
-                SessionStatus::Waiting(_) | SessionStatus::InVcr | SessionStatus::Degraded => {
-                    pending[i].1 = minute + 1;
-                }
-            }
-            i += 1;
-        }
-        fed.tick();
-        let mut record = |what: String| {
-            violation_count += 1;
-            if violations.len() < MAX_VIOLATION_REPORTS {
-                violations.push(format!("t={minute}: {what}"));
-            }
-        };
-        for what in fed.check_invariants() {
-            record(what);
-        }
-        let fm = fed.federation_metrics();
-        if let Some(prev) = &prev_fed {
-            for field in prev.monotone_violations(&fm) {
-                record(format!("federation counter `{field}` went backwards"));
-            }
-        }
-        prev_fed = Some(fm);
-    }
+    let log = drive(&mut fed, workload, seed, true);
     FederationOutcome {
         fed: fed.federation_metrics(),
         per_shard: fed.per_shard_metrics(),
-        violation_count,
-        violations,
-        sessions_opened,
-        sessions_denied_admission,
+        violation_count: log.violation_count,
+        violations: log.violations,
+        sessions_opened: log.sessions_opened,
+        sessions_denied_admission: log.sessions_denied_admission,
         sessions_done: fed.sessions_finished(),
         degraded_at_end: fed.degraded_sessions(),
         displaced_in_flight: fed.displaced_in_flight(),
-        ticks: horizon,
+        ticks: log.ticks,
     }
 }

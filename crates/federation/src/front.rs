@@ -39,7 +39,7 @@ use vod_runtime::{
 };
 use vod_server::{
     config_from_plan, make_backend, Adoption, DeliveryBackend, MovieId, ServerConfig, ServerError,
-    SessionId, SessionStatus,
+    SessionId, SessionStatus, WorkloadTarget,
 };
 use vod_sizing::ShardPlan;
 use vod_workload::VcrKind;
@@ -225,6 +225,12 @@ impl Federation {
     /// Route an admission for global movie `movie` through the placement
     /// map: the first up replica takes it. `None` means every replica is
     /// dark and the admission was denied (counted, no session tracked).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `movie` is outside the placement map. The workload
+    /// driver (`vod_server::drive`) rejects such a movie before its
+    /// first tick.
     pub fn open_session(&mut self, movie: usize) -> Option<FedSessionId> {
         let mut skipped_dead = false;
         for &(s, local) in &self.placement[movie] {
@@ -600,6 +606,53 @@ impl Federation {
             ));
         }
         v
+    }
+}
+
+/// The workload driver's view of the front tier: movies are global
+/// placement indices, and a refused admission is a `None`.
+impl WorkloadTarget for Federation {
+    type Session = FedSessionId;
+    type Metrics = FederationMetrics;
+
+    fn hosts(&self, movie: usize) -> bool {
+        // Construction checked every placement entry has a hosting replica.
+        movie < self.placement.len()
+    }
+
+    fn open(&mut self, movie: usize) -> Option<FedSessionId> {
+        self.open_session(movie)
+    }
+
+    fn status(&self, id: FedSessionId) -> SessionStatus {
+        self.session_status(id)
+    }
+
+    fn vcr(&mut self, id: FedSessionId, kind: VcrKind, magnitude: u32) -> Result<(), ServerError> {
+        self.request_vcr(id, kind, magnitude)
+    }
+
+    fn tick(&mut self) {
+        Federation::tick(self)
+    }
+
+    fn reset_metrics(&mut self) {
+        Federation::reset_metrics(self)
+    }
+
+    fn check_invariants(&self) -> Vec<String> {
+        Federation::check_invariants(self)
+    }
+
+    fn counters(&self) -> FederationMetrics {
+        self.metrics
+    }
+
+    fn monotone_violations(
+        prev: &FederationMetrics,
+        next: &FederationMetrics,
+    ) -> Vec<&'static str> {
+        prev.monotone_violations(next)
     }
 }
 

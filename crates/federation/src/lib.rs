@@ -23,10 +23,14 @@
 //!   denial. Every displaced session ends in exactly one bucket;
 //!   [`Federation::check_invariants`] audits the balance each tick.
 //!
-//! The [`run_federation`] driver replicates the single-server harness
-//! loop bit-for-bit, so a one-shard federation with an empty plan is
-//! bitwise-identical to `run_harness` — the federation layer provably
-//! adds zero behavior until shards or faults are added.
+//! [`Federation`] implements the `vod-server`
+//! [`WorkloadTarget`](vod_server::WorkloadTarget) trait, so
+//! [`run_federation`] drives it with the very loop behind
+//! `run_harness` ([`drive`](vod_server::drive)): this crate holds no
+//! arrival or interaction sampling of its own. A one-shard federation
+//! with an empty plan is bitwise-identical to `run_harness` — the
+//! federation layer provably adds zero behavior until shards or faults
+//! are added.
 //!
 //! [`DegradePolicy`]: vod_runtime::DegradePolicy
 
@@ -38,5 +42,5 @@
 mod driver;
 mod front;
 
-pub use driver::{run_federation, FederationHarnessConfig, FederationOutcome, WorkloadShape};
+pub use driver::{run_federation, FederationOutcome};
 pub use front::{shards_from_split, FedSessionId, Federation, FederationConfig, ShardSpec};

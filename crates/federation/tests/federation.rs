@@ -7,12 +7,11 @@
 use std::sync::Arc;
 
 use vod_dist::kinds::Gamma;
-use vod_federation::{
-    run_federation, shards_from_split, Federation, FederationConfig, FederationHarnessConfig,
-    ShardSpec, WorkloadShape,
-};
+use vod_federation::{run_federation, shards_from_split, Federation, FederationConfig, ShardSpec};
 use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan};
-use vod_server::{run_harness, HarnessConfig, HostedMovie, MovieId, ServerConfig};
+use vod_server::{
+    run_harness, HarnessConfig, HostedMovie, MovieId, ServerConfig, WorkloadConfig, WorkloadShape,
+};
 use vod_workload::BehaviorModel;
 
 fn behavior() -> BehaviorModel {
@@ -51,15 +50,14 @@ fn replicated_config_with_reserve(shards: usize, vcr_reserve: u32) -> Federation
     }
 }
 
-fn harness_cfg(warmup: u64, measure: u64) -> FederationHarnessConfig {
-    FederationHarnessConfig {
-        movie: 0,
-        extra_movies: vec![],
+fn harness_cfg(warmup: u64, measure: u64) -> WorkloadConfig {
+    WorkloadConfig {
+        movies: vec![0],
         behavior: behavior(),
         mean_interarrival: 2.0,
         warmup,
         measure,
-        workload: WorkloadShape::RoundRobin,
+        shape: WorkloadShape::RoundRobin,
     }
 }
 
@@ -67,19 +65,14 @@ fn harness_cfg(warmup: u64, measure: u64) -> FederationHarnessConfig {
 fn single_shard_empty_plan_is_bitwise_identical_to_harness() {
     let plain = HarnessConfig {
         server: single_movie_server(),
-        movie: MovieId(0),
-        extra_movies: vec![],
-        behavior: behavior(),
-        mean_interarrival: 2.0,
-        warmup: 240,
-        measure: 1200,
+        workload: harness_cfg(240, 1200),
     };
     for seed in [7u64, 11, 2026] {
         let reference = run_harness(&plain, seed);
         let outcome = run_federation(
             replicated_config(1),
             &FaultPlan::empty(),
-            &harness_cfg(240, 1200),
+            &plain.workload,
             seed,
         );
         assert_eq!(outcome.violation_count, 0, "{:?}", outcome.violations);
@@ -289,7 +282,7 @@ fn federation_chaos_storm_conserves_across_backends() {
 #[test]
 fn zipf_and_flash_crowd_shapes_stay_conserved() {
     let mut cfg = harness_cfg(0, 300);
-    cfg.extra_movies = vec![0]; // two slots over the same replicated movie
+    cfg.movies = vec![0, 0]; // two slots over the same replicated movie
     let plan = FaultPlan::new(vec![
         FaultEvent {
             at: 80,
@@ -312,7 +305,7 @@ fn zipf_and_flash_crowd_shapes_stay_conserved() {
             movie: 0,
         },
     ] {
-        cfg.workload = shape;
+        cfg.shape = shape;
         let config = FederationConfig {
             shards: (0..2)
                 .map(|_| ShardSpec {
@@ -328,6 +321,24 @@ fn zipf_and_flash_crowd_shapes_stay_conserved() {
         assert_eq!(a, b, "{shape:?}: workload shape must stay deterministic");
         assert_eq!(a.violation_count, 0, "{shape:?}: {:?}", a.violations);
     }
+}
+
+/// The driver checks the workload against the placement map before the
+/// first tick: an out-of-range flash-crowd movie is named in the panic
+/// instead of surfacing as a slice-index error mid-run.
+#[test]
+#[should_panic(expected = "workload movie 1 is not hosted")]
+fn out_of_range_flash_crowd_movie_is_rejected_before_the_first_tick() {
+    let cfg = WorkloadConfig {
+        shape: WorkloadShape::FlashCrowd {
+            at: 50,
+            duration: 10,
+            factor: 2.0,
+            movie: 1,
+        },
+        ..harness_cfg(0, 100)
+    };
+    run_federation(replicated_config(2), &FaultPlan::empty(), &cfg, 3);
 }
 
 #[test]
@@ -366,14 +377,9 @@ fn split_budget_wires_a_multi_movie_federation() {
     };
     let fed = Federation::new(config.clone(), FaultPlan::empty());
     assert_eq!(fed.shard_count(), 2);
-    let cfg = FederationHarnessConfig {
-        movie: 0,
-        extra_movies: (1..movies.len()).collect(),
-        behavior: behavior(),
-        mean_interarrival: 2.0,
-        warmup: 0,
-        measure: 200,
-        workload: WorkloadShape::RoundRobin,
+    let cfg = WorkloadConfig {
+        movies: (0..movies.len()).collect(),
+        ..harness_cfg(0, 200)
     };
     let outcome = run_federation(config, &FaultPlan::empty(), &cfg, 3);
     assert_eq!(outcome.violation_count, 0, "{:?}", outcome.violations);

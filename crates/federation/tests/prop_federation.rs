@@ -10,12 +10,10 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use vod_dist::kinds::Gamma;
-use vod_federation::{
-    run_federation, FederationConfig, FederationHarnessConfig, ShardSpec, WorkloadShape,
-};
+use vod_federation::{run_federation, FederationConfig, ShardSpec};
 use vod_model::{Rates, SystemParams};
 use vod_runtime::{BackendKind, DegradePolicy, FaultPlan};
-use vod_server::{HostedMovie, MovieId, ServerConfig};
+use vod_server::{HostedMovie, MovieId, ServerConfig, WorkloadConfig, WorkloadShape};
 use vod_workload::BehaviorModel;
 
 /// A small single-movie shard server (fast enough for many cases).
@@ -72,9 +70,8 @@ proptest! {
                 ..DegradePolicy::default()
             },
         };
-        let cfg = FederationHarnessConfig {
-            movie: 0,
-            extra_movies: vec![],
+        let cfg = WorkloadConfig {
+            movies: vec![0],
             behavior: BehaviorModel::uniform_dist(
                 (0.2, 0.2, 0.6),
                 10.0,
@@ -83,7 +80,7 @@ proptest! {
             mean_interarrival: 2.0,
             warmup: 40,
             measure: 200,
-            workload: WorkloadShape::RoundRobin,
+            shape: WorkloadShape::RoundRobin,
         };
         let plan = FaultPlan::generate_federation(plan_seed, 240, events, shards as u32);
         let out = run_federation(config, &plan, &cfg, run_seed);

@@ -65,6 +65,9 @@ pub trait DeliveryBackend {
     /// Current virtual time in minutes.
     fn now(&self) -> u64;
 
+    /// Whether `movie` is in the hosted catalog.
+    fn hosts(&self, movie: MovieId) -> bool;
+
     /// Open a session for `movie`; queues if playback cannot start now.
     fn open_session(&mut self, movie: MovieId) -> Result<SessionId, ServerError>;
 
@@ -147,6 +150,10 @@ impl DeliveryBackend for VodServer {
 
     fn now(&self) -> u64 {
         VodServer::now(self)
+    }
+
+    fn hosts(&self, movie: MovieId) -> bool {
+        self.config().movies.iter().any(|m| m.movie == movie)
     }
 
     fn open_session(&mut self, movie: MovieId) -> Result<SessionId, ServerError> {

@@ -2,8 +2,11 @@
 //! batching [`VodServer`] by default) with the same statistical workload
 //! primitives the simulator uses (Poisson arrivals, a [`BehaviorModel`]
 //! VCR mix), under a fixed seed, and reports the shared
-//! [`RuntimeMetrics`] vocabulary. One `drive` loop serves every entry
-//! point — harness, chaos, and the backend comparison.
+//! [`RuntimeMetrics`] vocabulary. One public [`drive`] loop, generic over
+//! [`WorkloadTarget`], serves every entry point — harness, chaos, the
+//! backend comparison, and the `vod-federation` front tier — so the
+//! workload's arrival/interaction policy and RNG draw order live here
+//! and nowhere else.
 //!
 //! This is the server-side leg of the three-way cross-validation
 //! (analytic model ↔ event simulator ↔ tick server): the same `(l, B, n,
@@ -20,20 +23,18 @@ use vod_workload::{BehaviorModel, VcrKind};
 
 use crate::backend::{make_backend, DeliveryBackend};
 use crate::content::MovieId;
-use crate::server::{HostedMovie, ServerConfig, VodServer};
+use crate::server::{HostedMovie, ServerConfig, ServerError, VodServer};
 use crate::session::{SessionId, SessionStatus};
 
-/// Workload configuration for [`run_harness`].
+/// The seeded viewer workload every driver in this repo replays:
+/// Poisson arrivals picking movies by a [`WorkloadShape`], then each
+/// viewer's VCR interactions drawn from one [`BehaviorModel`].
 #[derive(Clone)]
-pub struct HarnessConfig {
-    /// Server under test.
-    pub server: ServerConfig,
-    /// Movie every arrival requests (single-movie validation runs).
-    pub movie: MovieId,
-    /// Further hosted movies arrivals cycle through round-robin after
-    /// [`movie`](Self::movie). Empty keeps the historical single-movie
-    /// workload — same RNG stream, bitwise-identical metrics.
-    pub extra_movies: Vec<MovieId>,
+pub struct WorkloadConfig {
+    /// Catalog indices arrivals request, in round-robin order (slot 0
+    /// first). A backend's movie `m` is `MovieId(m)`; a federation's is
+    /// its global placement index.
+    pub movies: Vec<usize>,
     /// Viewer interaction behavior (same model `vod-sim` consumes).
     pub behavior: BehaviorModel,
     /// Mean minutes between viewer arrivals (Poisson process).
@@ -42,6 +43,187 @@ pub struct HarnessConfig {
     pub warmup: u64,
     /// Measured ticks after warm-up.
     pub measure: u64,
+    /// Movie-selection / arrival-rate shape.
+    pub shape: WorkloadShape,
+}
+
+/// How arrivals pick movies (and how the arrival rate moves) over the
+/// run. [`RoundRobin`](WorkloadShape::RoundRobin) consumes no extra
+/// randomness; the other two draw one extra `u64` per arrival (Zipf) or
+/// modulate the arrival mean (flash crowd).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WorkloadShape {
+    /// Cycle through the catalog in arrival order.
+    RoundRobin,
+    /// Zipf-distributed movie popularity whose skew drifts linearly
+    /// from `start_skew` to `end_skew` across the horizon: the hot set
+    /// migrates, stressing placement maps sized for the initial skew.
+    ZipfDrift {
+        /// Skew exponent at tick 0.
+        start_skew: f64,
+        /// Skew exponent at tick `warmup + measure`, one past the last
+        /// tick driven (tick `t` uses the skew interpolated at
+        /// `t / (warmup + measure)`).
+        end_skew: f64,
+    },
+    /// A flash crowd: inside `[at, at + duration)` every arrival
+    /// requests `movie` and the arrival mean divides by `factor`.
+    FlashCrowd {
+        /// First tick of the crowd window.
+        at: u64,
+        /// Window length in ticks.
+        duration: u64,
+        /// Arrival-rate multiplier (mean interarrival ÷ `factor`).
+        factor: f64,
+        /// Catalog index the crowd requests.
+        movie: usize,
+    },
+}
+
+impl WorkloadShape {
+    /// The flash crowd's `(factor, movie)` when `minute` falls inside its
+    /// window.
+    fn crowd_at(self, minute: u64) -> Option<(f64, usize)> {
+        match self {
+            WorkloadShape::FlashCrowd {
+                at,
+                duration,
+                factor,
+                movie,
+            } if minute >= at && minute < at.saturating_add(duration) => Some((factor, movie)),
+            _ => None,
+        }
+    }
+}
+
+/// Pick the movie for arrival number `arrivals` at tick `minute`.
+fn select_movie(
+    cfg: &WorkloadConfig,
+    arrivals: u64,
+    minute: u64,
+    horizon: u64,
+    rng: &mut dyn RngCore,
+) -> usize {
+    let round_robin = cfg.movies[(arrivals % cfg.movies.len() as u64) as usize];
+    if let Some((_, movie)) = cfg.shape.crowd_at(minute) {
+        return movie;
+    }
+    let WorkloadShape::ZipfDrift {
+        start_skew,
+        end_skew,
+    } = cfg.shape
+    else {
+        return round_robin;
+    };
+    let frac = if horizon == 0 {
+        0.0
+    } else {
+        minute as f64 / horizon as f64
+    };
+    let skew = start_skew + (end_skew - start_skew) * frac;
+    let weights: Vec<f64> = (0..cfg.movies.len())
+        .map(|r| 1.0 / ((r + 1) as f64).powf(skew))
+        .collect();
+    let total: f64 = weights.iter().sum();
+    let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * total;
+    let mut acc = 0.0;
+    weights
+        .iter()
+        .position(|w| {
+            acc += w;
+            u < acc
+        })
+        .map_or(round_robin, |r| cfg.movies[r])
+}
+
+/// Configuration for the single-server entry points: the server under
+/// test plus the workload that drives it.
+#[derive(Clone)]
+pub struct HarnessConfig {
+    /// Server under test.
+    pub server: ServerConfig,
+    /// The seeded viewer workload.
+    pub workload: WorkloadConfig,
+}
+
+/// What [`drive`] needs from a system under test: every
+/// [`DeliveryBackend`] and the `vod-federation` front tier implement it.
+pub trait WorkloadTarget {
+    /// Session handle the target hands out.
+    type Session: Copy;
+    /// Counter snapshot audited for monotonicity after every tick.
+    type Metrics;
+
+    /// Whether catalog index `movie` can be requested.
+    fn hosts(&self, movie: usize) -> bool;
+
+    /// Admit an arrival for a hosted `movie`; `None` when admission is
+    /// refused.
+    fn open(&mut self, movie: usize) -> Option<Self::Session>;
+
+    /// Status of a session [`open`](Self::open) returned.
+    fn status(&self, id: Self::Session) -> SessionStatus;
+
+    /// Issue a VCR operation (`magnitude` minutes swept or paused).
+    fn vcr(&mut self, id: Self::Session, kind: VcrKind, magnitude: u32) -> Result<(), ServerError>;
+
+    /// Advance one virtual minute.
+    fn tick(&mut self);
+
+    /// Reset counters at the end of warm-up.
+    fn reset_metrics(&mut self);
+
+    /// Conservation-invariant violations (empty when healthy).
+    fn check_invariants(&self) -> Vec<String>;
+
+    /// Snapshot of the monotone counters.
+    fn counters(&self) -> Self::Metrics;
+
+    /// Counters that went backwards from `prev` to `next`.
+    fn monotone_violations(prev: &Self::Metrics, next: &Self::Metrics) -> Vec<&'static str>;
+}
+
+impl<B: DeliveryBackend + ?Sized> WorkloadTarget for B {
+    type Session = SessionId;
+    type Metrics = RuntimeMetrics;
+
+    fn hosts(&self, movie: usize) -> bool {
+        u32::try_from(movie).is_ok_and(|m| DeliveryBackend::hosts(self, MovieId(m)))
+    }
+
+    fn open(&mut self, movie: usize) -> Option<SessionId> {
+        self.open_session(MovieId(movie as u32)).ok()
+    }
+
+    fn status(&self, id: SessionId) -> SessionStatus {
+        // vod-lint: allow(no-panic) — ids come from open and stay queryable
+        // until the driver sees Done and drops them.
+        self.session_status(id).expect("session exists")
+    }
+
+    fn vcr(&mut self, id: SessionId, kind: VcrKind, magnitude: u32) -> Result<(), ServerError> {
+        self.request_vcr(id, kind, magnitude)
+    }
+
+    fn tick(&mut self) {
+        DeliveryBackend::tick(self)
+    }
+
+    fn reset_metrics(&mut self) {
+        DeliveryBackend::reset_metrics(self)
+    }
+
+    fn check_invariants(&self) -> Vec<String> {
+        DeliveryBackend::check_invariants(self)
+    }
+
+    fn counters(&self) -> RuntimeMetrics {
+        self.runtime_metrics()
+    }
+
+    fn monotone_violations(prev: &RuntimeMetrics, next: &RuntimeMetrics) -> Vec<&'static str> {
+        prev.monotone_violations(next)
+    }
 }
 
 /// Result of one [`run_chaos`] run: the measured metrics plus everything
@@ -65,13 +247,26 @@ pub struct ChaosOutcome {
     pub ticks: u64,
 }
 
-/// Cap on stored violation strings in a [`ChaosOutcome`].
+/// Cap on stored violation strings in a [`DriveLog`].
 const MAX_VIOLATION_REPORTS: usize = 16;
 
 impl ChaosOutcome {
     /// Outcome schema version; bump on any key change in
     /// [`to_json`](Self::to_json).
     pub const SCHEMA_VERSION: u32 = 1;
+
+    /// Collect the outcome of a finished [`drive`] over `server`.
+    pub fn collect(server: &dyn DeliveryBackend, log: DriveLog) -> Self {
+        Self {
+            metrics: server.runtime_metrics(),
+            violation_count: log.violation_count,
+            violations: log.violations,
+            sessions_opened: log.sessions_opened,
+            sessions_done: server.sessions_finished(),
+            degraded_at_end: server.degraded_sessions(),
+            ticks: log.ticks,
+        }
+    }
 
     /// Serialize to a single-line JSON object with a pinned key order
     /// (`schema_version`, `violations`, `violation_details`,
@@ -126,61 +321,34 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-/// Drive the server with a seeded workload and return the measured
-/// [`RuntimeMetrics`]. Same seed, same config ⇒ bitwise-identical
-/// metrics (asserted by the cross-validation test).
+/// Drive the batching server with a seeded workload and return the
+/// measured [`RuntimeMetrics`]. Same seed, same config ⇒
+/// bitwise-identical metrics (asserted by the cross-validation test).
+///
+/// # Panics
+///
+/// Panics if the workload's movie list is empty or names a movie the
+/// server does not host (see [`drive`]).
 pub fn run_harness(cfg: &HarnessConfig, seed: u64) -> RuntimeMetrics {
-    run_driver(
-        cfg,
-        seed,
-        &FaultPlan::empty(),
-        DegradePolicy::default(),
-        false,
-        false,
-    )
-    .metrics
+    let mut server = VodServer::new(cfg.server.clone());
+    drive(&mut server, &cfg.workload, seed, false);
+    server.runtime_metrics()
 }
 
-/// [`run_harness`] with the server in reference-scan mode (the historical
-/// full-table session loop instead of the timer wheel). Exists solely so
-/// the equivalence suite can pin the two schedulers against each other.
-#[doc(hidden)]
-pub fn run_harness_reference(cfg: &HarnessConfig, seed: u64) -> RuntimeMetrics {
-    run_driver(
-        cfg,
-        seed,
-        &FaultPlan::empty(),
-        DegradePolicy::default(),
-        false,
-        true,
-    )
-    .metrics
-}
-
-/// Drive the server with the same seeded workload as [`run_harness`]
-/// while injecting `plan`, checking conservation invariants and metrics
-/// monotonicity after **every tick**. With an empty plan this is
-/// [`run_harness`] plus checks: the same driver runs underneath, so the
-/// metrics are bitwise identical by construction.
+/// [`run_harness`] while injecting `plan`, with the per-tick invariant
+/// and monotonicity audits on. With an empty plan the metrics are
+/// [`run_harness`]'s, bitwise.
+///
+/// # Panics
+///
+/// As [`run_harness`].
 pub fn run_chaos(
     cfg: &HarnessConfig,
     seed: u64,
     plan: &FaultPlan,
     policy: DegradePolicy,
 ) -> ChaosOutcome {
-    run_driver(cfg, seed, plan, policy, true, false)
-}
-
-/// [`run_chaos`] against the reference-scan scheduler; see
-/// [`run_harness_reference`].
-#[doc(hidden)]
-pub fn run_chaos_reference(
-    cfg: &HarnessConfig,
-    seed: u64,
-    plan: &FaultPlan,
-    policy: DegradePolicy,
-) -> ChaosOutcome {
-    run_driver(cfg, seed, plan, policy, true, true)
+    run_chaos_backend(cfg, BackendKind::BatchingBuffering, seed, plan, policy).outcome
 }
 
 /// One backend-generic harness run: the [`ChaosOutcome`] plus the
@@ -208,6 +376,10 @@ pub struct BackendRun {
 /// [`BackendKind::BatchingBuffering`] the metrics are bitwise identical
 /// to [`run_harness`] on the same config/seed (pinned by the
 /// `backend_equivalence` suite).
+///
+/// # Panics
+///
+/// As [`run_harness`].
 pub fn run_harness_backend(cfg: &HarnessConfig, kind: BackendKind, seed: u64) -> BackendRun {
     run_chaos_backend(
         cfg,
@@ -220,6 +392,10 @@ pub fn run_harness_backend(cfg: &HarnessConfig, kind: BackendKind, seed: u64) ->
 
 /// [`run_harness_backend`] with a fault plan: the backend-generic
 /// [`run_chaos`].
+///
+/// # Panics
+///
+/// As [`run_harness`].
 pub fn run_chaos_backend(
     cfg: &HarnessConfig,
     kind: BackendKind,
@@ -229,7 +405,7 @@ pub fn run_chaos_backend(
 ) -> BackendRun {
     let mut server = make_backend(kind, &cfg.server);
     server.inject_faults(plan.clone(), policy);
-    let outcome = drive(server.as_mut(), cfg, seed, true);
+    let log = drive(server.as_mut(), &cfg.workload, seed, true);
     let waits = server.startup_waits();
     BackendRun {
         kind,
@@ -241,74 +417,95 @@ pub fn run_chaos_backend(
         startup_wait_samples: waits.count(),
         io_streams: server.io_streams(),
         buffer_segments: server.buffer_segments(),
-        outcome,
+        outcome: ChaosOutcome::collect(server.as_ref(), log),
     }
 }
 
-/// The single driver underneath [`run_harness`] and [`run_chaos`]. The
-/// RNG consumption order never depends on `plan` or `check`, so the
-/// fault-free workload sequence is identical across both entry points.
-fn run_driver(
-    cfg: &HarnessConfig,
-    seed: u64,
-    plan: &FaultPlan,
-    policy: DegradePolicy,
-    check: bool,
-    reference: bool,
-) -> ChaosOutcome {
-    let mut server = VodServer::new(cfg.server.clone());
-    server.set_reference_scan(reference);
-    server.inject_faults(plan.clone(), policy);
-    drive(&mut server, cfg, seed, check)
+/// What one [`drive`] run observed, whatever the target.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DriveLog {
+    /// Total per-tick invariant and monotonicity violations observed.
+    pub violation_count: u64,
+    /// First few violation descriptions, `"t=<tick>: <what>"`.
+    pub violations: Vec<String>,
+    /// Arrivals the target admitted over the whole run.
+    pub sessions_opened: u64,
+    /// Arrivals the target refused.
+    pub sessions_denied_admission: u64,
+    /// Ticks driven (warm-up + measured).
+    pub ticks: u64,
 }
 
-/// The workload loop itself, generic over the delivery scheme. Every
-/// entry point in this module funnels here, so no driver logic is
-/// duplicated between the harness, the chaos runs, and the backend
-/// comparison.
-fn drive(
-    server: &mut dyn DeliveryBackend,
-    cfg: &HarnessConfig,
+/// The one workload loop every entry point funnels into, generic over
+/// the system under test: Poisson arrivals shaped by
+/// [`WorkloadConfig::shape`], then each admitted viewer's VCR
+/// interactions, one [`tick`](WorkloadTarget::tick) per virtual minute,
+/// and a metrics reset at the end of warm-up. With `check` on, the
+/// target's invariants and counter monotonicity are audited after every
+/// tick (a pure read: the run is the same either way). The RNG
+/// consumption order depends only on `(workload, seed)` and the statuses
+/// the target reports, so same target, workload and seed ⇒
+/// bitwise-identical run.
+///
+/// # Panics
+///
+/// Panics before the first tick if `workload.movies` is empty or if a
+/// listed movie (or the flash-crowd movie) is not hosted by `target`.
+pub fn drive<T: WorkloadTarget + ?Sized>(
+    target: &mut T,
+    workload: &WorkloadConfig,
     seed: u64,
     check: bool,
-) -> ChaosOutcome {
+) -> DriveLog {
+    // vod-lint: allow(no-panic) — a workload that names no movie, or one
+    // the target cannot serve, is a driver-construction bug.
+    assert!(!workload.movies.is_empty(), "workload lists no movies");
+    let crowd = match workload.shape {
+        WorkloadShape::FlashCrowd { movie, .. } => Some(movie),
+        WorkloadShape::RoundRobin | WorkloadShape::ZipfDrift { .. } => None,
+    };
+    for &movie in workload.movies.iter().chain(&crowd) {
+        assert!(target.hosts(movie), "workload movie {movie} is not hosted");
+    }
     let mut rng = seeded(seed);
-    let mut next_arrival = exponential(&mut rng, cfg.mean_interarrival);
+    let mut next_arrival = exponential(&mut rng, workload.mean_interarrival);
     // (session, tick at which its next interaction is due)
-    let mut pending: Vec<(SessionId, u64)> = Vec::new();
-    let horizon = cfg.warmup + cfg.measure;
-    let mut sessions_opened: u64 = 0;
-    let mut violation_count: u64 = 0;
-    let mut violations: Vec<String> = Vec::new();
-    let mut prev_rt: Option<RuntimeMetrics> = None;
+    let mut pending: Vec<(T::Session, u64)> = Vec::new();
+    let horizon = workload.warmup + workload.measure;
+    let mut arrivals: u64 = 0;
+    let mut log = DriveLog {
+        ticks: horizon,
+        ..DriveLog::default()
+    };
+    let mut prev: Option<T::Metrics> = None;
     for minute in 0..horizon {
-        if minute == cfg.warmup {
-            server.reset_metrics();
+        if minute == workload.warmup {
+            target.reset_metrics();
             // The reset legitimately zeroes counters; restart the
             // monotonicity baseline with it.
-            prev_rt = None;
+            prev = None;
         }
         while next_arrival < (minute + 1) as f64 {
-            // Round-robin over the requested catalog; an empty
-            // `extra_movies` reduces to the historical single-movie
-            // workload with an untouched RNG stream.
-            let movie = if cfg.extra_movies.is_empty() {
-                cfg.movie
-            } else {
-                let slot = (sessions_opened % (1 + cfg.extra_movies.len() as u64)) as usize;
-                if slot == 0 {
-                    cfg.movie
-                } else {
-                    cfg.extra_movies[slot - 1]
+            let movie = select_movie(workload, arrivals, minute, horizon, &mut rng);
+            let opened = target.open(movie);
+            arrivals += 1;
+            // The gap draw happens whether or not admission succeeded, so
+            // the RNG stream does not depend on admission outcomes.
+            let gap = workload.behavior.next_interaction_gap(&mut rng);
+            match opened {
+                Some(id) => {
+                    log.sessions_opened += 1;
+                    pending.push((id, minute + (gap.ceil() as u64).max(1)));
                 }
-            };
-            // vod-lint: allow(no-panic) — HarnessConfig ties its movies to the
-            // ServerConfig hosting them; a miss is a harness-construction bug.
-            let id = server.open_session(movie).expect("movie hosted");
-            sessions_opened += 1;
-            let gap = cfg.behavior.next_interaction_gap(&mut rng);
-            pending.push((id, minute + (gap.ceil() as u64).max(1)));
-            next_arrival += exponential(&mut rng, cfg.mean_interarrival);
+                None => log.sessions_denied_admission += 1,
+            }
+            let mean = workload
+                .shape
+                .crowd_at(minute)
+                .map_or(workload.mean_interarrival, |(f, _)| {
+                    workload.mean_interarrival / f.max(1.0)
+                });
+            next_arrival += exponential(&mut rng, mean);
         }
         let mut i = 0;
         while i < pending.len() {
@@ -317,20 +514,18 @@ fn drive(
                 i += 1;
                 continue;
             }
-            // vod-lint: allow(no-panic) — ids come from open_session and stay
-            // queryable until this loop sees Done and drops them from pending.
-            match server.session_status(id).expect("session exists") {
+            match target.status(id) {
                 SessionStatus::Done => {
                     pending.swap_remove(i);
                     continue;
                 }
                 SessionStatus::Shared | SessionStatus::Dedicated => {
-                    let req = cfg.behavior.sample_request(&mut rng);
+                    let req = workload.behavior.sample_request(&mut rng);
                     let magnitude = (req.magnitude.round() as u32).max(1);
-                    // Denied ops are counted by the server; either way the
+                    // Denied ops are counted by the target; either way the
                     // viewer's next interaction clock restarts now.
-                    let _ = server.request_vcr(id, req.kind, magnitude);
-                    let gap = cfg.behavior.next_interaction_gap(&mut rng);
+                    let _ = target.vcr(id, req.kind, magnitude);
+                    let gap = workload.behavior.next_interaction_gap(&mut rng);
                     pending[i].1 = minute + (gap.ceil() as u64).max(1);
                 }
                 // Waiting in the batch queue, mid-VCR, or degraded: the
@@ -342,35 +537,28 @@ fn drive(
             }
             i += 1;
         }
-        server.tick();
-        if check {
-            let mut record = |what: String| {
-                violation_count += 1;
-                if violations.len() < MAX_VIOLATION_REPORTS {
-                    violations.push(format!("t={minute}: {what}"));
-                }
-            };
-            for what in server.check_invariants() {
-                record(what);
-            }
-            let rt = server.runtime_metrics();
-            if let Some(prev) = &prev_rt {
-                for field in prev.monotone_violations(&rt) {
-                    record(format!("counter `{field}` went backwards"));
-                }
-            }
-            prev_rt = Some(rt);
+        target.tick();
+        if !check {
+            continue;
         }
+        let mut record = |what: String| {
+            log.violation_count += 1;
+            if log.violations.len() < MAX_VIOLATION_REPORTS {
+                log.violations.push(format!("t={minute}: {what}"));
+            }
+        };
+        for what in target.check_invariants() {
+            record(what);
+        }
+        let now = target.counters();
+        if let Some(prev) = &prev {
+            for field in T::monotone_violations(prev, &now) {
+                record(format!("counter `{field}` went backwards"));
+            }
+        }
+        prev = Some(now);
     }
-    ChaosOutcome {
-        metrics: server.runtime_metrics(),
-        violation_count,
-        violations,
-        sessions_opened,
-        sessions_done: server.sessions_finished(),
-        degraded_at_end: server.degraded_sessions(),
-        ticks: horizon,
-    }
+    log
 }
 
 /// Workload shape for [`run_scale`]: a mass-batching population, the
@@ -498,17 +686,46 @@ mod tests {
                 piggyback: None,
                 ..ServerConfig::provisioned(vec![movie], 40)
             },
-            movie: MovieId(0),
-            extra_movies: vec![],
-            behavior: BehaviorModel::uniform_dist(
-                (0.2, 0.2, 0.6),
-                30.0,
-                Arc::new(Gamma::paper_fig7()),
-            ),
-            mean_interarrival: 2.0,
-            warmup: 240,
-            measure: 1200,
+            workload: WorkloadConfig {
+                movies: vec![0],
+                behavior: BehaviorModel::uniform_dist(
+                    (0.2, 0.2, 0.6),
+                    30.0,
+                    Arc::new(Gamma::paper_fig7()),
+                ),
+                mean_interarrival: 2.0,
+                warmup: 240,
+                measure: 1200,
+                shape: WorkloadShape::RoundRobin,
+            },
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "workload lists no movies")]
+    fn empty_movie_list_is_rejected() {
+        let mut cfg = config();
+        cfg.workload.movies.clear();
+        run_harness(&cfg, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "workload movie 3 is not hosted")]
+    fn unhosted_flash_crowd_movie_is_rejected_before_the_first_tick() {
+        let mut cfg = config();
+        cfg.workload.shape = WorkloadShape::FlashCrowd {
+            at: 10,
+            duration: 5,
+            factor: 2.0,
+            movie: 3,
+        };
+        run_chaos_backend(
+            &cfg,
+            BackendKind::DedicatedStream,
+            7,
+            &FaultPlan::empty(),
+            DegradePolicy::default(),
+        );
     }
 
     #[test]

@@ -43,11 +43,10 @@ pub use content::{checksum, generate_segment, verify_segment, MovieId, Segment, 
 pub use dedicated::DedicatedServer;
 pub use disk::{DiskError, DiskSubsystem, StreamLease};
 pub use harness::{
-    run_chaos, run_chaos_backend, run_harness, run_harness_backend, run_scale, BackendRun,
-    ChaosOutcome, HarnessConfig, ScaleConfig, ScaleOutcome,
+    drive, run_chaos, run_chaos_backend, run_harness, run_harness_backend, run_scale, BackendRun,
+    ChaosOutcome, DriveLog, HarnessConfig, ScaleConfig, ScaleOutcome, WorkloadConfig,
+    WorkloadShape, WorkloadTarget,
 };
-#[doc(hidden)]
-pub use harness::{run_chaos_reference, run_harness_reference};
 pub use metrics::ServerMetrics;
 pub use pyramid::PyramidServer;
 pub use server::{HostedMovie, PiggybackConfig, ServerConfig, ServerError, VodServer};

@@ -477,6 +477,10 @@ impl DeliveryBackend for PyramidServer {
         self.now
     }
 
+    fn hosts(&self, movie: MovieId) -> bool {
+        self.movie_index.contains_key(&movie)
+    }
+
     fn open_session(&mut self, movie: MovieId) -> Result<SessionId, ServerError> {
         let movie_idx = *self
             .movie_index

@@ -14,7 +14,7 @@ use vod_dist::rng::{exponential, seeded};
 use vod_runtime::{BackendKind, RuntimeMetrics};
 use vod_server::{
     run_harness, run_harness_backend, HarnessConfig, HostedMovie, MovieId, ServerConfig, SessionId,
-    SessionStatus, VodServer,
+    SessionStatus, VodServer, WorkloadConfig, WorkloadShape,
 };
 use vod_workload::BehaviorModel;
 
@@ -25,12 +25,18 @@ fn config() -> HarnessConfig {
             piggyback: None,
             ..ServerConfig::provisioned(vec![movie], 40)
         },
-        movie: MovieId(0),
-        extra_movies: vec![],
-        behavior: BehaviorModel::uniform_dist((0.2, 0.2, 0.6), 30.0, Arc::new(Gamma::paper_fig7())),
-        mean_interarrival: 2.0,
-        warmup: 240,
-        measure: 1200,
+        workload: WorkloadConfig {
+            movies: vec![0],
+            behavior: BehaviorModel::uniform_dist(
+                (0.2, 0.2, 0.6),
+                30.0,
+                Arc::new(Gamma::paper_fig7()),
+            ),
+            mean_interarrival: 2.0,
+            warmup: 240,
+            measure: 1200,
+            shape: WorkloadShape::RoundRobin,
+        },
     }
 }
 
@@ -41,6 +47,7 @@ fn config() -> HarnessConfig {
 /// this copy and `run_harness` diverge bitwise.
 fn pre_refactor_harness(cfg: &HarnessConfig, seed: u64) -> RuntimeMetrics {
     let mut server = VodServer::new(cfg.server.clone());
+    let cfg = &cfg.workload;
     let mut rng = seeded(seed);
     let mut next_arrival = exponential(&mut rng, cfg.mean_interarrival);
     let mut pending: Vec<(SessionId, u64)> = Vec::new();
@@ -50,7 +57,7 @@ fn pre_refactor_harness(cfg: &HarnessConfig, seed: u64) -> RuntimeMetrics {
             server.reset_metrics();
         }
         while next_arrival < (minute + 1) as f64 {
-            let id = server.open_session(cfg.movie).unwrap();
+            let id = server.open_session(MovieId(cfg.movies[0] as u32)).unwrap();
             let gap = cfg.behavior.next_interaction_gap(&mut rng);
             pending.push((id, minute + (gap.ceil() as u64).max(1)));
             next_arrival += exponential(&mut rng, cfg.mean_interarrival);

@@ -12,7 +12,7 @@ use vod_dist::kinds::Gamma;
 use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan};
 use vod_server::{
     run_chaos, run_chaos_backend, run_harness, HarnessConfig, HostedMovie, MovieId, ServerConfig,
-    ServerError, SessionStatus, VodServer,
+    ServerError, SessionStatus, VodServer, WorkloadConfig, WorkloadShape,
 };
 use vod_workload::{BehaviorModel, VcrKind};
 
@@ -374,12 +374,18 @@ fn harness_config() -> HarnessConfig {
             piggyback: None,
             ..ServerConfig::provisioned(vec![movie], 40)
         },
-        movie: MovieId(0),
-        extra_movies: vec![],
-        behavior: BehaviorModel::uniform_dist((0.2, 0.2, 0.6), 30.0, Arc::new(Gamma::paper_fig7())),
-        mean_interarrival: 2.0,
-        warmup: 120,
-        measure: 600,
+        workload: WorkloadConfig {
+            movies: vec![0],
+            behavior: BehaviorModel::uniform_dist(
+                (0.2, 0.2, 0.6),
+                30.0,
+                Arc::new(Gamma::paper_fig7()),
+            ),
+            mean_interarrival: 2.0,
+            warmup: 120,
+            measure: 600,
+            shape: WorkloadShape::RoundRobin,
+        },
     }
 }
 
@@ -400,7 +406,7 @@ fn empty_plan_is_bitwise_identical_to_harness() {
 #[test]
 fn generated_storm_is_deterministic_and_conserving() {
     let cfg = harness_config();
-    let plan = FaultPlan::generate(3, cfg.warmup + cfg.measure, 6);
+    let plan = FaultPlan::generate(3, cfg.workload.warmup + cfg.workload.measure, 6);
     assert_eq!(plan.len(), 6);
     let a = run_chaos(&cfg, 11, &plan, DegradePolicy::default());
     let b = run_chaos(&cfg, 11, &plan, DegradePolicy::default());
@@ -419,12 +425,18 @@ fn tight_config() -> HarnessConfig {
             piggyback: None,
             ..ServerConfig::provisioned(vec![movie], 2)
         },
-        movie: MovieId(0),
-        extra_movies: vec![],
-        behavior: BehaviorModel::uniform_dist((0.2, 0.2, 0.6), 30.0, Arc::new(Gamma::paper_fig7())),
-        mean_interarrival: 2.0,
-        warmup: 30,
-        measure: 150,
+        workload: WorkloadConfig {
+            movies: vec![0],
+            behavior: BehaviorModel::uniform_dist(
+                (0.2, 0.2, 0.6),
+                30.0,
+                Arc::new(Gamma::paper_fig7()),
+            ),
+            mean_interarrival: 2.0,
+            warmup: 30,
+            measure: 150,
+            shape: WorkloadShape::RoundRobin,
+        },
     }
 }
 
@@ -440,7 +452,7 @@ proptest! {
     #[test]
     fn dedicated_queue_conserved_under_seeded_storms(seed in 0u64..100_000) {
         let cfg = tight_config();
-        let plan = FaultPlan::generate(seed, cfg.warmup + cfg.measure, 5);
+        let plan = FaultPlan::generate(seed, cfg.workload.warmup + cfg.workload.measure, 5);
         let policy = DegradePolicy::default();
         let a = run_chaos_backend(&cfg, BackendKind::DedicatedStream, seed, &plan, policy);
         prop_assert_eq!(
@@ -458,7 +470,7 @@ proptest! {
     #[test]
     fn pyramid_fronts_conserved_under_seeded_storms(seed in 0u64..100_000) {
         let cfg = tight_config();
-        let plan = FaultPlan::generate(seed, cfg.warmup + cfg.measure, 5);
+        let plan = FaultPlan::generate(seed, cfg.workload.warmup + cfg.workload.measure, 5);
         let policy = DegradePolicy::default();
         let a = run_chaos_backend(&cfg, BackendKind::PyramidBroadcast, seed, &plan, policy);
         prop_assert_eq!(

@@ -3,15 +3,17 @@
 //! `0..n` scan it replaced — same seeded workload, same metrics, same
 //! chaos outcome (violations included) — fault-free and under every
 //! fault family. The reference scan survives in the server behind
-//! `set_reference_scan` exactly so this suite can hold that line.
+//! `set_reference_scan` exactly so this suite can hold that line: it
+//! builds the reference server itself and runs the public `drive` loop
+//! over it.
 
 use std::sync::Arc;
 
 use vod_dist::kinds::Gamma;
 use vod_runtime::{DegradePolicy, FaultEvent, FaultKind, FaultPlan};
 use vod_server::{
-    run_chaos, run_chaos_reference, run_harness, run_harness_reference, HarnessConfig, HostedMovie,
-    MovieId, ServerConfig,
+    drive, run_chaos, run_harness, ChaosOutcome, HarnessConfig, HostedMovie, MovieId, ServerConfig,
+    VodServer, WorkloadConfig, WorkloadShape,
 };
 use vod_workload::BehaviorModel;
 
@@ -23,13 +25,34 @@ fn config(piggyback: bool) -> HarnessConfig {
             piggyback: base.piggyback.filter(|_| piggyback),
             ..base
         },
-        movie: MovieId(0),
-        extra_movies: vec![],
-        behavior: BehaviorModel::uniform_dist((0.2, 0.2, 0.6), 30.0, Arc::new(Gamma::paper_fig7())),
-        mean_interarrival: 2.0,
-        warmup: 240,
-        measure: 1200,
+        workload: WorkloadConfig {
+            movies: vec![0],
+            behavior: BehaviorModel::uniform_dist(
+                (0.2, 0.2, 0.6),
+                30.0,
+                Arc::new(Gamma::paper_fig7()),
+            ),
+            mean_interarrival: 2.0,
+            warmup: 240,
+            measure: 1200,
+            shape: WorkloadShape::RoundRobin,
+        },
     }
+}
+
+/// `run_chaos` against a server in reference-scan mode (the historical
+/// full-table session loop instead of the timer wheel).
+fn reference_chaos(
+    cfg: &HarnessConfig,
+    seed: u64,
+    plan: &FaultPlan,
+    policy: DegradePolicy,
+) -> ChaosOutcome {
+    let mut server = VodServer::new(cfg.server.clone());
+    server.set_reference_scan(true);
+    server.inject_faults(plan.clone(), policy);
+    let log = drive(&mut server, &cfg.workload, seed, true);
+    ChaosOutcome::collect(&server, log)
 }
 
 #[test]
@@ -38,7 +61,8 @@ fn wheel_matches_reference_scan_fault_free() {
         let cfg = config(piggyback);
         for seed in [1u64, 7, 23, 1901] {
             let wheel = run_harness(&cfg, seed);
-            let reference = run_harness_reference(&cfg, seed);
+            let reference =
+                reference_chaos(&cfg, seed, &FaultPlan::empty(), DegradePolicy::default()).metrics;
             assert_eq!(
                 wheel, reference,
                 "schedulers diverged (seed {seed}, piggyback {piggyback})"
@@ -101,7 +125,7 @@ fn wheel_matches_reference_scan_under_faults() {
     for (name, plan) in plans() {
         for seed in [7u64, 23] {
             let wheel = run_chaos(&cfg, seed, &plan, policy);
-            let reference = run_chaos_reference(&cfg, seed, &plan, policy);
+            let reference = reference_chaos(&cfg, seed, &plan, policy);
             assert_eq!(
                 wheel, reference,
                 "chaos outcome diverged (plan {name}, seed {seed})"

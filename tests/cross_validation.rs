@@ -24,7 +24,9 @@ use std::sync::Arc;
 use vod_prealloc::dist::kinds::Gamma;
 use vod_prealloc::model::{p_hit_single_dist, ModelOptions, Rates, SystemParams, VcrMix};
 use vod_prealloc::runtime::RuntimeMetrics;
-use vod_prealloc::server::{run_harness, HarnessConfig, HostedMovie, MovieId, ServerConfig};
+use vod_prealloc::server::{
+    run_harness, HarnessConfig, HostedMovie, MovieId, ServerConfig, WorkloadConfig, WorkloadShape,
+};
 use vod_prealloc::sim::{run_seeded, SimConfig};
 use vod_prealloc::workload::BehaviorModel;
 
@@ -51,12 +53,14 @@ fn harness_config(params: &SystemParams, n: u32, sim_cfg: &SimConfig) -> Harness
             piggyback: None,
             ..ServerConfig::provisioned(vec![movie], 80)
         },
-        movie: MovieId(0),
-        extra_movies: vec![],
-        behavior: behavior(),
-        mean_interarrival: sim_cfg.mean_interarrival,
-        warmup: sim_cfg.warmup as u64,
-        measure: (sim_cfg.horizon - sim_cfg.warmup) as u64,
+        workload: WorkloadConfig {
+            movies: vec![0],
+            behavior: behavior(),
+            mean_interarrival: sim_cfg.mean_interarrival,
+            warmup: sim_cfg.warmup as u64,
+            measure: (sim_cfg.horizon - sim_cfg.warmup) as u64,
+            shape: WorkloadShape::RoundRobin,
+        },
     }
 }
 
