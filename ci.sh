@@ -39,10 +39,11 @@ cargo build --release
 cargo test -q
 
 echo "== crate equivalence suites: scan/backend equivalence, federation identity, proptests =="
-# Tier-1 runs only the root package; these crates hold the oracles the
-# shared workload driver is pinned against (scan_equivalence,
-# backend_equivalence, the 1-shard federation identity with run_harness,
-# prop_federation).
+# Tier-1 `cargo test -q` covers every crate (workspace default-members);
+# these crates hold the oracles the shared workload driver is pinned
+# against (scan_equivalence, backend_equivalence, the 1-shard federation
+# identity with run_harness, prop_federation), so they run once more
+# optimized, where the debug-only paths are compiled out.
 cargo test --release -q -p vod-server -p vod-federation -p vod-bench
 
 echo "== cross-validation: model vs sim vs server =="

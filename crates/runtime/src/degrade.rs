@@ -9,7 +9,10 @@
 //! re-wait for batch viewers, deterministic retry backoff for dedicated
 //! streams, and a timeout that falls back to batch admission. The types are
 //! driver-agnostic: `vod-server` applies them on its integer tick grid, and
-//! `vod-sim` mirrors the capacity effects in continuous time.
+//! `vod-sim` mirrors the capacity effects in continuous time. A
+//! [`RetryLedger`] carries one degraded session through the policy.
+
+use crate::StreamReserve;
 
 /// One kind of injected fault. All parameters are integers on the virtual
 /// tick grid, so a plan has a single meaning on every driver.
@@ -514,6 +517,113 @@ impl Default for DegradePolicy {
     }
 }
 
+/// One degraded session's walk through the [`DegradePolicy`] phases:
+/// when it lost (or was refused) its stream, when it may retry next, the
+/// current backoff, and the refusals still awaiting classification.
+/// Every delivery backend steps its degraded sessions through this one
+/// ledger; only the free rejoin test and the exit state are the
+/// backend's own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetryLedger {
+    /// Tick degradation began (the timeout anchor).
+    since: u64,
+    /// Next tick a dedicated-stream retry is allowed.
+    next_retry: u64,
+    /// Current backoff in ticks (doubles per refusal, capped).
+    backoff: u64,
+    /// Refusals awaiting transient/permanent classification.
+    pending_denials: u64,
+    /// Retries stopped at the timeout; only the backend's rejoin remains.
+    retries_exhausted: bool,
+}
+
+/// Outcome of one [`RetryLedger::step`].
+#[derive(Debug, PartialEq, Eq)]
+pub enum RetryStep<L> {
+    /// No lease this tick: inside the re-wait bound or a backoff
+    /// interval, a refused retry, or retries already exhausted.
+    Waiting,
+    /// A retry obtained this lease; earlier refusals resolved transient.
+    Granted(L),
+    /// The retry timeout expired this tick: pending refusals resolved
+    /// permanent and no further retry is made.
+    TimedOut,
+}
+
+impl RetryLedger {
+    /// Open a ledger at `now` carrying `pending` refusals (1 when a
+    /// refused acquisition caused the degradation, 0 when a fault revoked
+    /// the lease outright).
+    pub fn new(now: u64, policy: &DegradePolicy, pending: u64) -> Self {
+        Self {
+            since: now,
+            next_retry: now.saturating_add(policy.rewait_bound.max(1)),
+            backoff: policy.retry_backoff.max(1),
+            pending_denials: pending,
+            retries_exhausted: false,
+        }
+    }
+
+    /// Close the ledger without a granted retry (the session rejoined for
+    /// free or quit): the refusals still pending resolve permanent.
+    pub fn close(&self, reserve: &mut StreamReserve) {
+        reserve.record_denials(self.pending_denials, false);
+    }
+
+    /// One degraded tick at `now`, after the backend's own rejoin test
+    /// failed. Past the re-wait bound and any backoff interval, retries a
+    /// lease through `try_lease`; refusals double the backoff up to
+    /// [`DegradePolicy::retry_backoff_cap`]. At the retry timeout the
+    /// pending refusals resolve permanent — unless
+    /// [`DegradePolicy::recovery_wins`] is set and `recovered_now` says an
+    /// outage recovery landed on this very tick, in which case one last
+    /// attempt runs first. Every classification is recorded in `reserve`.
+    pub fn step<L>(
+        &mut self,
+        now: u64,
+        policy: &DegradePolicy,
+        recovered_now: bool,
+        reserve: &mut StreamReserve,
+        try_lease: impl FnOnce(&mut StreamReserve) -> Option<L>,
+    ) -> RetryStep<L> {
+        if self.retries_exhausted || now < self.next_retry {
+            return RetryStep::Waiting;
+        }
+        let timed_out = now.saturating_sub(self.since) >= policy.retry_timeout;
+        if timed_out && !(policy.recovery_wins && recovered_now) {
+            return self.time_out(reserve);
+        }
+        match try_lease(reserve) {
+            Some(lease) => {
+                reserve.record_denials(self.pending_denials, true);
+                self.pending_denials = 0;
+                RetryStep::Granted(lease)
+            }
+            None => {
+                self.pending_denials += 1;
+                if timed_out {
+                    // The last chance was refused too: it resolves with
+                    // the rest of the sequence.
+                    return self.time_out(reserve);
+                }
+                self.backoff = self
+                    .backoff
+                    .saturating_mul(2)
+                    .min(policy.retry_backoff_cap.max(1));
+                self.next_retry = now.saturating_add(self.backoff);
+                RetryStep::Waiting
+            }
+        }
+    }
+
+    fn time_out<L>(&mut self, reserve: &mut StreamReserve) -> RetryStep<L> {
+        reserve.record_denials(self.pending_denials, false);
+        self.pending_denials = 0;
+        self.retries_exhausted = true;
+        RetryStep::TimedOut
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -711,6 +821,49 @@ mod tests {
             "u32 overflow"
         );
         assert!(FaultPlan::from_json("[] trailing").is_err(), "trailing");
+    }
+
+    #[test]
+    fn retry_ledger_walks_the_policy_phases() {
+        let policy = DegradePolicy {
+            retry_timeout: 8,
+            ..DegradePolicy::default()
+        };
+        let mut reserve = StreamReserve::with_capacity(1);
+        // Degraded at 12 by a revocation: batch-only re-wait until 14,
+        // then refusals at 14 and 16 double the backoff (1 -> 2 -> 4), so
+        // the next retry falls on 20 — the timeout tick.
+        let mut ledger = RetryLedger::new(12, &policy, 0);
+        for t in 12..20 {
+            let mut tried = false;
+            let out = ledger.step(t, &policy, false, &mut reserve, |_| {
+                tried = true;
+                None::<()>
+            });
+            assert_eq!(out, RetryStep::Waiting);
+            assert_eq!(tried, t == 14 || t == 16, "retry at tick {t}");
+        }
+        assert_eq!(reserve.denied_total(), 0, "refusals resolve at the end");
+        // Default order: the timeout resolves first, even against a
+        // same-tick recovery, and retries stop for good.
+        let mut timed_out = ledger;
+        let step = timed_out.step(20, &policy, true, &mut reserve, |_| Some(()));
+        assert_eq!(step, RetryStep::TimedOut);
+        assert_eq!(reserve.denied_permanent(), 2);
+        let step = timed_out.step(40, &policy, true, &mut reserve, |_| Some(()));
+        assert_eq!(step, RetryStep::Waiting, "no retry after the timeout");
+        // With `recovery_wins` the same-tick recovery buys a last attempt.
+        let wins = DegradePolicy {
+            recovery_wins: true,
+            ..policy
+        };
+        let mut won = ledger;
+        let step = won.step(20, &wins, true, &mut reserve, |_| Some(()));
+        assert_eq!(step, RetryStep::Granted(()));
+        assert_eq!(reserve.denied_transient(), 2);
+        // Closing resolves whatever is still pending permanent.
+        RetryLedger::new(0, &policy, 1).close(&mut reserve);
+        assert_eq!(reserve.denied_permanent(), 3);
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //!   bench bins can diff server-vs-sim-vs-model directly.
 //! * [`FaultPlan`] / [`DegradePolicy`] — deterministic, virtual-time
 //!   fault schedules and the graceful-degradation knobs (bounded re-wait,
-//!   retry backoff, batch-admission fallback) both drivers honor.
+//!   retry backoff, batch-admission fallback) both drivers honor, and
+//!   the [`RetryLedger`] every server backend steps a degraded session
+//!   through.
 //! * [`BackendKind`] / [`PyramidGeometry`] / [`ReceptionFront`] — the
 //!   delivery-backend vocabulary: which scheme a driver runs
 //!   (batching+buffering, pyramid fast broadcasting, dedicated unicast),
@@ -60,7 +62,7 @@ mod windows;
 
 pub use arena::{Arena, ArenaId};
 pub use backend::{BackendKind, PyramidGeometry, ReceptionFront};
-pub use degrade::{DegradePolicy, FaultEvent, FaultKind, FaultPlan};
+pub use degrade::{DegradePolicy, FaultEvent, FaultKind, FaultPlan, RetryLedger, RetryStep};
 pub use metrics::{kind_index, FederationMetrics, RuntimeMetrics};
 pub use quantize::QuantizedGeometry;
 pub use reserve::StreamReserve;

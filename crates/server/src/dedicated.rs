@@ -12,14 +12,14 @@
 //! interactions cost bandwidth, never buffer).
 //!
 //! Implemented natively against the same [`DiskSubsystem`] /
-//! [`StreamReserve`] substrate as the batching server so the accounting
-//! vocabulary (acquisitions, denials, starvation, occupancy) is
-//! field-for-field comparable.
+//! [`StreamReserve`] bookkeeping as the batching server (shared through
+//! `DiskFaults`), so the accounting vocabulary (acquisitions, denials,
+//! starvation, occupancy) is field-for-field comparable.
 //!
 //! # Fault semantics (chaos-grade)
 //!
 //! Stream loss and outage revoke leases out of live viewings: the holder
-//! enters the [`DegradePolicy`] ledger (bounded re-wait, backoff
+//! enters its [`RetryLedger`] (bounded re-wait, backoff
 //! retries, resolution-time denial classification) and, past the retry
 //! timeout, falls back to the FIFO admission queue — from there its
 //! waits are ordinary queueing, whose head-of-line refusals are
@@ -33,13 +33,15 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use vod_runtime::{
-    Arena, BackendKind, DegradePolicy, FaultKind, FaultPlan, RuntimeMetrics, StreamReserve,
+    Arena, BackendKind, DegradePolicy, FaultKind, FaultPlan, RetryLedger, RetryStep,
+    RuntimeMetrics, StreamReserve,
 };
 use vod_workload::{TimeWeighted, VcrKind, Welford};
 
 use crate::backend::{Adoption, DeliveryBackend};
 use crate::content::{verify_segment, MovieId};
 use crate::disk::{DiskSubsystem, StreamLease};
+use crate::faults::{DiskFaults, Revoked};
 use crate::metrics::ServerMetrics;
 use crate::server::{ServerConfig, ServerError};
 use crate::session::{DeliveryStats, SessionId, SessionStatus};
@@ -62,26 +64,14 @@ enum DState {
         /// Ticks until the viewer resumes.
         remaining: u32,
     },
-    /// Lost (or was refused) a stream mid-viewing. Follows the
-    /// [`DegradePolicy`] ledger: bounded re-wait, then acquisition
-    /// retries under exponential backoff whose refusals are classified at
-    /// resolution time (transient when a retry eventually succeeds,
-    /// permanent when the sequence times out); after the timeout the
-    /// session re-enters the FIFO admission queue, where further waits
-    /// are ordinary queueing (transient denials), not degradation.
-    Starved {
-        /// Tick the starvation began (timeout anchor).
-        since: u64,
-        /// Next tick an acquisition retry is allowed.
-        next_retry: u64,
-        /// Current backoff interval in ticks.
-        backoff: u64,
-        /// Refused acquisitions awaiting resolution-time classification.
-        pending_denials: u64,
-        /// Ledger-shape parity with the other backends; never set here —
-        /// the timeout re-queues the session instead of parking it.
-        retries_exhausted: bool,
-    },
+    /// Lost (or was refused) a stream mid-viewing. Steps its
+    /// [`RetryLedger`]: bounded re-wait, then acquisition retries under
+    /// exponential backoff whose refusals are classified at resolution
+    /// time (transient when a retry eventually succeeds, permanent when
+    /// the sequence times out); after the timeout the session re-enters
+    /// the FIFO admission queue, where further waits are ordinary
+    /// queueing (transient denials), not degradation.
+    Starved(RetryLedger),
     /// Finished.
     Done,
 }
@@ -99,28 +89,15 @@ struct DSession {
     stats: DeliveryStats,
 }
 
-/// Fresh `Starved` state under `policy`, carrying `pending` refusals
-/// already awaiting classification (1 when a refused acquisition caused
-/// the starvation, 0 when a fault revoked the lease outright).
-fn starved_state(now: u64, policy: &DegradePolicy, pending: u64) -> DState {
-    DState::Starved {
-        since: now,
-        next_retry: now + policy.rewait_bound.max(1),
-        backoff: policy.retry_backoff.max(1),
-        pending_denials: pending,
-        retries_exhausted: false,
-    }
-}
-
 /// The dedicated-stream (pure unicast) backend. See the module docs.
 pub struct DedicatedServer {
     now: u64,
     config: ServerConfig,
-    disk: DiskSubsystem,
-    /// Accountant over the *whole* stream pool: unlike the batching
-    /// server there is no pre-allocated restart schedule, so every
-    /// stream is "dedicated" in the reserve's sense.
-    reserve: StreamReserve,
+    /// Disk, reserve and fault state. The reserve accounts the *whole*
+    /// stream pool: unlike the batching server there is no pre-allocated
+    /// restart schedule, so every stream is "dedicated" in the reserve's
+    /// sense.
+    faults: DiskFaults,
     sessions: Arena<DSession>,
     /// FIFO of queued session indices awaiting their first stream.
     queue: VecDeque<u32>,
@@ -130,19 +107,6 @@ pub struct DedicatedServer {
     metrics: ServerMetrics,
     movie_index: BTreeMap<MovieId, usize>,
     startup_waits: Welford,
-    plan: FaultPlan,
-    fault_mode: bool,
-    policy: DegradePolicy,
-    /// Active disk slowdown `(period, until)`: leases serve only on
-    /// ticks divisible by `period`, through tick `until` exclusive.
-    slowdown: Option<(u32, u64)>,
-    /// Outage recoveries scheduled by tick.
-    recovery_due: BTreeMap<u64, u32>,
-    /// Tick of the most recent recovery that returned streams; a starved
-    /// retry timeout expiring on this exact tick attempts one last lease
-    /// first — recovery wins the same-tick race.
-    recovered_at: Option<u64>,
-    starved_count: u32,
 }
 
 impl DedicatedServer {
@@ -159,116 +123,50 @@ impl DedicatedServer {
         Self {
             now: 0,
             config,
-            disk,
-            reserve,
+            faults: DiskFaults::new(disk, reserve),
             sessions: Arena::new(),
             queue: VecDeque::new(),
             active: Vec::new(),
             metrics: ServerMetrics::new(),
             movie_index,
             startup_waits: Welford::default(),
-            plan: FaultPlan::empty(),
-            fault_mode: false,
-            policy: DegradePolicy::default(),
-            slowdown: None,
-            recovery_due: BTreeMap::new(),
-            recovered_at: None,
-            starved_count: 0,
         }
     }
 
     /// Try to take one stream (reserve + disk in lockstep), counting the
     /// attempt.
     fn try_lease(&mut self) -> Option<StreamLease> {
-        self.metrics.runtime.acquisition_attempts += 1;
-        let now = self.now as f64;
-        if !self.reserve.try_acquire(now) {
-            return None;
-        }
-        match self.disk.acquire() {
-            Ok(lease) => Some(lease),
-            Err(_) => {
-                self.reserve.release(now);
-                None
-            }
-        }
+        self.faults.acquire(self.now, &mut self.metrics.runtime)
     }
 
     fn release_lease(&mut self, lease: StreamLease) {
-        self.disk.release(lease);
-        self.reserve.release(self.now as f64);
+        self.faults.release(self.now, lease);
     }
 
     /// Apply the fault events scheduled at the current tick. Buffer
     /// faults are meaningless here (no buffer) and are skipped without
     /// counting, the same way `vod-sim` skips tick-grid-only kinds.
     fn apply_faults(&mut self) {
-        if !self.fault_mode {
+        if !self.faults.fault_mode {
             return;
         }
-        if let Some(streams) = self.recovery_due.remove(&self.now) {
-            let recovered = self.disk.recover_streams(streams);
-            self.reserve.recover_streams(recovered);
-            if recovered > 0 {
-                self.recovered_at = Some(self.now);
-            }
-        }
-        let events: Vec<FaultKind> = self
-            .plan
-            .events_at(self.now)
-            .iter()
-            .map(|e| e.kind)
-            .collect();
-        for kind in events {
+        let now = self.now;
+        for kind in self.faults.begin_tick(now) {
             match kind {
-                FaultKind::DiskStreamLoss { count } | FaultKind::DiskOutage { count, .. } => {
-                    let before = self.disk.failed();
-                    let revoked = self.disk.fail_streams(count);
-                    let applied = self.disk.failed().saturating_sub(before);
-                    if let FaultKind::DiskOutage { recover_after, .. } = kind {
-                        *self
-                            .recovery_due
-                            .entry(self.now + recover_after)
-                            .or_insert(0) += applied;
-                    }
-                    // Revoked leases strand their holders: into the
-                    // degrade ledger, lease gone. The holders release
-                    // *before* the reserve marks the failure — the
-                    // reserve only fails free streams, so the old
-                    // fail-first order silently under-failed it whenever
-                    // every stream was in use and left the reserve
-                    // claiming capacity the disk no longer had.
-                    let now = self.now;
-                    let policy = self.policy;
-                    for idx in 0..self.sessions.slot_count() {
-                        let Some(sess) = self.sessions.at_mut(idx) else {
-                            continue;
-                        };
-                        let dead = sess
-                            .lease
-                            .as_ref()
-                            .is_some_and(|l| revoked.contains(&l.id()));
-                        if dead {
-                            sess.lease = None;
-                            if !matches!(sess.state, DState::Done) {
-                                if matches!(sess.state, DState::Playing | DState::Vcr { .. }) {
-                                    self.metrics.playback.add(self.now as f64, -1.0);
-                                }
-                                // Revocation, not a refused acquisition:
-                                // nothing pending to classify yet.
-                                sess.state = starved_state(now, &policy, 0);
-                                self.starved_count += 1;
-                                self.metrics.runtime.degraded_entries += 1;
-                            }
-                            self.metrics.leases_revoked += 1;
-                            self.reserve.release(self.now as f64);
-                        }
-                    }
-                    self.reserve.fail_streams(applied);
+                FaultKind::DiskStreamLoss { count } => {
+                    self.fail_streams(count);
+                    self.metrics.runtime.faults_injected += 1;
+                }
+                FaultKind::DiskOutage {
+                    count,
+                    recover_after,
+                } => {
+                    let failed = self.fail_streams(count);
+                    self.faults.recover_later(now, recover_after, failed);
                     self.metrics.runtime.faults_injected += 1;
                 }
                 FaultKind::DiskSlowdown { period, duration } => {
-                    self.slowdown = Some((period.max(1), self.now + duration));
+                    self.faults.slow_down(now, period, duration);
                     self.metrics.runtime.faults_injected += 1;
                 }
                 // Buffer faults are meaningless without a buffer; shard
@@ -280,20 +178,49 @@ impl DedicatedServer {
                 | FaultKind::ShardRecovery { .. } => {}
             }
         }
-        if let Some((_, until)) = self.slowdown {
-            if self.now >= until {
-                self.slowdown = None;
-            }
-        }
     }
 
-    /// Is the disk serving this tick (false only mid-slowdown on an
-    /// off-period tick)?
-    fn disk_serving(&self) -> bool {
-        match self.slowdown {
-            Some((period, until)) if self.now < until => self.now.is_multiple_of(u64::from(period)),
-            _ => true,
-        }
+    /// Fail `count` disk streams; revoked leases strand their holders in
+    /// the degrade ledger.
+    fn fail_streams(&mut self, count: u32) -> u32 {
+        let now = self.now;
+        DiskFaults::fail_streams(
+            self,
+            |s| &mut s.faults,
+            now,
+            count,
+            |s, revoked| {
+                s.metrics.leases_revoked += revoked.len() as u64;
+                let mut reserve_holds: u32 = 0;
+                for idx in 0..s.sessions.slot_count() {
+                    let Some(sess) = s.sessions.at_mut(idx) else {
+                        continue;
+                    };
+                    if !sess
+                        .lease
+                        .as_ref()
+                        .is_some_and(|l| revoked.contains(&l.id()))
+                    {
+                        continue;
+                    }
+                    sess.lease = None;
+                    reserve_holds += 1;
+                    if !matches!(sess.state, DState::Done) {
+                        if matches!(sess.state, DState::Playing | DState::Vcr { .. }) {
+                            s.metrics.playback.add(now as f64, -1.0);
+                        }
+                        // Revocation, not a refused acquisition: nothing
+                        // pending to classify yet.
+                        sess.state =
+                            DState::Starved(s.faults.degrade(now, 0, &mut s.metrics.runtime));
+                    }
+                }
+                Revoked {
+                    reserve_holds,
+                    outside_reserve: 0,
+                }
+            },
+        )
     }
 
     /// Grant queued sessions in FIFO order while streams remain.
@@ -301,7 +228,7 @@ impl DedicatedServer {
         while let Some(&idx) = self.queue.front() {
             let Some(lease) = self.try_lease() else {
                 // Queued arrivals retry, so the denial is transient.
-                self.reserve.record_denials(1, true);
+                self.faults.reserve.record_denials(1, true);
                 break;
             };
             self.queue.pop_front();
@@ -336,6 +263,7 @@ impl DedicatedServer {
         // construction; losing it without a state change is a backend bug.
         let lease = sess.lease.as_ref().expect("playing session holds lease");
         let verified = self
+            .faults
             .disk
             .read(lease, movie, position)
             .map(|seg| verify_segment(&seg))
@@ -409,7 +337,7 @@ impl DeliveryBackend for DedicatedServer {
                 self.active.push(idx);
                 return Ok(id);
             }
-            self.reserve.record_denials(1, true);
+            self.faults.reserve.record_denials(1, true);
         }
         self.queue.push_back(idx);
         Ok(id)
@@ -480,7 +408,7 @@ impl DeliveryBackend for DedicatedServer {
         let Some(lease) = self.try_lease() else {
             // Locally permanent — the ledger may resolve the displaced
             // session elsewhere; see `FederationMetrics`.
-            self.reserve.record_denials(1, false);
+            self.faults.reserve.record_denials(1, false);
             return Err(ServerError::VcrDenied);
         };
         let id = SessionId(self.sessions.insert(DSession {
@@ -506,7 +434,7 @@ impl DeliveryBackend for DedicatedServer {
             DState::Queued => SessionStatus::Waiting(self.now + 1),
             DState::Playing => SessionStatus::Dedicated,
             DState::Vcr { .. } | DState::Paused { .. } => SessionStatus::InVcr,
-            DState::Starved { .. } => SessionStatus::Degraded,
+            DState::Starved(_) => SessionStatus::Degraded,
             DState::Done => SessionStatus::Done,
         })
     }
@@ -514,9 +442,8 @@ impl DeliveryBackend for DedicatedServer {
     fn tick(&mut self) {
         self.apply_faults();
         self.drain_queue();
-        let serving = self.disk_serving();
         let now = self.now;
-        let policy = self.policy;
+        let serving = self.faults.serving(now);
         let vcr_rate = self.config.vcr_rate.max(1);
         // Session slots are never reused and `active` is push-ordered, so
         // this walk is ascending-index — the same deterministic order as
@@ -530,7 +457,7 @@ impl DeliveryBackend for DedicatedServer {
                     DState::Playing => 0u8,
                     DState::Vcr { .. } => 1,
                     DState::Paused { .. } => 2,
-                    DState::Starved { .. } => 3,
+                    DState::Starved(_) => 3,
                     DState::Queued | DState::Done => 4,
                 }
             };
@@ -551,7 +478,6 @@ impl DeliveryBackend for DedicatedServer {
                         let sess = self.sessions.live_at(idx as usize);
                         self.config.movies[sess.movie_idx].geometry.length
                     };
-                    let now = self.now;
                     let sess = self.sessions.live_at_mut(idx as usize);
                     let DState::Vcr { kind, remaining } = &mut sess.state else {
                         unreachable!("state tag checked above");
@@ -588,7 +514,6 @@ impl DeliveryBackend for DedicatedServer {
                         self.metrics.runtime.record_resume(kind, false);
                         self.sessions.live_at_mut(idx as usize).state = DState::Playing;
                     }
-                    let _ = now;
                 }
                 2 => {
                     let sess = self.sessions.live_at_mut(idx as usize);
@@ -612,107 +537,39 @@ impl DeliveryBackend for DedicatedServer {
                                 // as pending; it is classified
                                 // transient/permanent at resolution.
                                 self.metrics.runtime.resume_starved += 1;
+                                let ledger = self.faults.degrade(now, 1, &mut self.metrics.runtime);
                                 self.sessions.live_at_mut(idx as usize).state =
-                                    starved_state(now, &policy, 1);
-                                self.starved_count += 1;
-                                self.metrics.runtime.degraded_entries += 1;
+                                    DState::Starved(ledger);
                             }
                         }
                     }
                 }
                 3 => {
-                    // Mirrors `VodServer::degraded_tick`, with one
-                    // backend-specific exit: there is no shared window to
-                    // rejoin, so the retry timeout resolves the pending
-                    // refusals permanent and sends the session back to
-                    // the FIFO admission queue — where later head-of-line
+                    // No shared window to rejoin: the ledger steps, and
+                    // its timeout sends the session back to the FIFO
+                    // admission queue — where later head-of-line
                     // refusals are ordinary transient queueing denials.
                     self.metrics.runtime.rewait_minutes += 1.0;
-                    let (since, next_retry, backoff, pending, exhausted) = {
-                        let sess = self.sessions.live_at(idx as usize);
-                        let DState::Starved {
-                            since,
-                            next_retry,
-                            backoff,
-                            pending_denials,
-                            retries_exhausted,
-                        } = sess.state
-                        else {
-                            unreachable!("state tag checked above");
-                        };
-                        (
-                            since,
-                            next_retry,
-                            backoff,
-                            pending_denials,
-                            retries_exhausted,
-                        )
+                    let sess = self.sessions.live_at_mut(idx as usize);
+                    let DState::Starved(ledger) = &mut sess.state else {
+                        unreachable!("state tag checked above");
                     };
-                    if !exhausted && now >= next_retry {
-                        let timed_out = now.saturating_sub(since) >= self.policy.retry_timeout;
-                        // A recovery landing on the timeout tick wins the
-                        // race: the session gets one last lease attempt
-                        // before the timeout resolves its ledger.
-                        let last_chance = timed_out
-                            && self.policy.recovery_wins
-                            && self.recovered_at == Some(now);
-                        if timed_out && !last_chance {
-                            self.reserve.record_denials(pending, false);
-                            let sess = self.sessions.live_at_mut(idx as usize);
+                    match self.faults.retry(ledger, now, &mut self.metrics.runtime) {
+                        RetryStep::Waiting => {}
+                        RetryStep::Granted(lease) => {
+                            self.faults.exit_degraded(ledger);
+                            self.metrics.runtime.degraded_dedicated += 1;
+                            self.metrics.playback.add(now as f64, 1.0);
+                            sess.lease = Some(lease);
+                            sess.state = DState::Playing;
+                        }
+                        RetryStep::TimedOut => {
+                            self.faults.exit_degraded(ledger);
+                            self.metrics.runtime.degraded_rejoined += 1;
                             sess.state = DState::Queued;
                             self.queue.push_back(idx);
-                            debug_assert!(self.starved_count > 0, "starved session outside census");
-                            self.starved_count -= 1;
-                            self.metrics.runtime.degraded_rejoined += 1;
                             self.active.swap_remove(i);
                             continue;
-                        }
-                        match self.try_lease() {
-                            Some(lease) => {
-                                self.reserve.record_denials(pending, true);
-                                let sess = self.sessions.live_at_mut(idx as usize);
-                                sess.lease = Some(lease);
-                                sess.state = DState::Playing;
-                                debug_assert!(
-                                    self.starved_count > 0,
-                                    "starved session outside census"
-                                );
-                                self.starved_count -= 1;
-                                self.metrics.runtime.degraded_dedicated += 1;
-                                self.metrics.playback.add(self.now as f64, 1.0);
-                            }
-                            None if last_chance => {
-                                // Recovery was not enough after all: the
-                                // refused attempt joins the ledger and the
-                                // timeout proceeds as usual.
-                                self.reserve.record_denials(pending + 1, false);
-                                let sess = self.sessions.live_at_mut(idx as usize);
-                                sess.state = DState::Queued;
-                                self.queue.push_back(idx);
-                                debug_assert!(
-                                    self.starved_count > 0,
-                                    "starved session outside census"
-                                );
-                                self.starved_count -= 1;
-                                self.metrics.runtime.degraded_rejoined += 1;
-                                self.active.swap_remove(i);
-                                continue;
-                            }
-                            None => {
-                                let nb = (backoff * 2).min(self.policy.retry_backoff_cap.max(1));
-                                let sess = self.sessions.live_at_mut(idx as usize);
-                                if let DState::Starved {
-                                    next_retry,
-                                    backoff,
-                                    pending_denials,
-                                    ..
-                                } = &mut sess.state
-                                {
-                                    *pending_denials = pending + 1;
-                                    *next_retry = now + nb;
-                                    *backoff = nb;
-                                }
-                            }
                         }
                     }
                 }
@@ -731,17 +588,12 @@ impl DeliveryBackend for DedicatedServer {
         let playing = self.metrics.playback.current();
         self.metrics = ServerMetrics::new();
         self.metrics.playback = TimeWeighted::new(now, playing);
-        self.reserve.rebaseline(now);
+        self.faults.reserve.rebaseline(now);
         self.startup_waits = Welford::default();
     }
 
     fn runtime_metrics(&self) -> RuntimeMetrics {
-        let mut rt = self.metrics.runtime.clone();
-        rt.dedicated_avg = self.reserve.average(self.now as f64);
-        rt.dedicated_peak = self.reserve.peak();
-        rt.denied_transient = self.reserve.denied_transient();
-        rt.denied_permanent = self.reserve.denied_permanent();
-        rt
+        self.faults.runtime_metrics(&self.metrics.runtime, self.now)
     }
 
     fn startup_waits(&self) -> &Welford {
@@ -749,33 +601,11 @@ impl DeliveryBackend for DedicatedServer {
     }
 
     fn inject_faults(&mut self, plan: FaultPlan, policy: DegradePolicy) {
-        self.fault_mode = !plan.is_empty();
-        self.plan = plan;
-        self.policy = policy;
+        self.faults.inject(plan, policy);
     }
 
     fn check_invariants(&self) -> Vec<String> {
         let mut v = Vec::new();
-        let disk = &self.disk;
-        if disk.in_use() + disk.available() + disk.failed() != disk.capacity() {
-            v.push(format!(
-                "disk conservation broken: in_use {} + free {} + failed {} != provisioned {}",
-                disk.in_use(),
-                disk.available(),
-                disk.failed(),
-                disk.capacity()
-            ));
-        }
-        // The reserve accounts the *whole* pool here, so its failure
-        // ledger must track the disk's exactly — this is the audit that
-        // catches the fail-before-release ordering bug.
-        if self.reserve.failed() != disk.failed() {
-            v.push(format!(
-                "reserve failure accounting drifted from the disk: reserve {} != disk {}",
-                self.reserve.failed(),
-                disk.failed()
-            ));
-        }
         // Queue conservation: the FIFO and the active walk partition the
         // live population — every `Queued` session sits in the queue
         // exactly once and holds no lease; nothing else queues.
@@ -815,33 +645,18 @@ impl DeliveryBackend for DedicatedServer {
             } else if matches!(sess.state, DState::Playing | DState::Vcr { .. }) {
                 v.push(format!("session {idx} is serving without a lease"));
             }
-            if matches!(sess.state, DState::Starved { .. }) {
+            if matches!(sess.state, DState::Starved(_)) {
                 starved += 1;
             }
         }
-        if held != disk.in_use() {
-            v.push(format!(
-                "lease accounting broken: sessions hold {held}, disk says {}",
-                disk.in_use()
-            ));
-        }
-        if held != self.reserve.in_use() {
-            v.push(format!(
-                "reserve accounting broken: sessions hold {held}, reserve says {}",
-                self.reserve.in_use()
-            ));
-        }
-        if starved != self.starved_count {
-            v.push(format!(
-                "starved population drifted: counted {starved}, tracked {}",
-                self.starved_count
-            ));
-        }
+        // The reserve spans the whole pool, so the shared audit also
+        // pins its failure ledger to the disk's exactly.
+        v.extend(self.faults.check_invariants(0, held, starved));
         v
     }
 
     fn degraded_sessions(&self) -> u32 {
-        self.starved_count
+        self.faults.degraded_count
     }
 
     fn sessions_finished(&self) -> u64 {

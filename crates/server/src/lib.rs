@@ -30,6 +30,7 @@ mod buffer;
 mod content;
 mod dedicated;
 mod disk;
+mod faults;
 mod harness;
 mod metrics;
 mod pyramid;

@@ -42,7 +42,8 @@
 //! `d − 1` after recovery; the regression test
 //! `recovered_front_never_leads_schedule` pins the fix). A session that
 //! outruns its front (fault stall or revoked catch-up lease) enters
-//! `Starved` and follows the [`DegradePolicy`] ledger: bounded re-wait,
+//! `Starved` and steps its [`RetryLedger`] under the [`DegradePolicy`]:
+//! bounded re-wait,
 //! dedicated-stream retries under exponential backoff whose denials are
 //! classified at resolution time (transient when a retry eventually
 //! succeeds, permanent when the session rejoins free or times out), and
@@ -53,7 +54,7 @@ use std::collections::BTreeMap;
 
 use vod_runtime::{
     Arena, BackendKind, DegradePolicy, FaultKind, FaultPlan, PyramidGeometry, ReceptionFront,
-    RuntimeMetrics, StreamReserve, TimerWheel,
+    RetryLedger, RetryStep, RuntimeMetrics, StreamReserve, TimerWheel,
 };
 use vod_workload::{TimeWeighted, VcrKind, Welford};
 
@@ -61,6 +62,7 @@ use crate::backend::{Adoption, DeliveryBackend};
 use crate::buffer::{BroadcastSlot, BufferPool};
 use crate::content::{verify_segment, MovieId};
 use crate::disk::{DiskSubsystem, StreamLease};
+use crate::faults::{DiskFaults, Revoked};
 use crate::metrics::ServerMetrics;
 use crate::server::{ServerConfig, ServerError};
 use crate::session::{DeliveryStats, SessionId, SessionStatus};
@@ -96,23 +98,12 @@ enum PState {
     /// Playing beyond the front through a dedicated lease; merges back
     /// into the broadcast when the front catches up.
     CatchUp,
-    /// Outran the reception front with no dedicated stream. Follows the
-    /// [`DegradePolicy`] ledger: bounded re-wait, then backoff retries
-    /// with resolution-time denial classification, then (post-timeout) a
+    /// Outran the reception front with no dedicated stream. Steps its
+    /// [`RetryLedger`]: bounded re-wait, then backoff retries with
+    /// resolution-time denial classification, then (post-timeout) a
     /// plain wait for the looping front. Rejoins free the moment the
     /// front passes its position.
-    Starved {
-        /// Tick the starvation began (timeout anchor).
-        since: u64,
-        /// Next tick a dedicated retry is allowed.
-        next_retry: u64,
-        /// Current backoff interval in ticks.
-        backoff: u64,
-        /// Refused acquisitions awaiting resolution-time classification.
-        pending_denials: u64,
-        /// Past `retry_timeout`: no more dedicated retries.
-        retries_exhausted: bool,
-    },
+    Starved(RetryLedger),
     /// Finished.
     Done,
 }
@@ -128,30 +119,17 @@ struct PSession {
     stats: DeliveryStats,
 }
 
-/// Fresh `Starved` state under `policy`, carrying `pending` denials
-/// already awaiting classification (1 when a refused acquisition caused
-/// the starvation, 0 when a fault revoked the lease outright).
-fn starved_state(now: u64, policy: &DegradePolicy, pending: u64) -> PState {
-    PState::Starved {
-        since: now,
-        next_retry: now + policy.rewait_bound.max(1),
-        backoff: policy.retry_backoff.max(1),
-        pending_denials: pending,
-        retries_exhausted: false,
-    }
-}
-
 /// The pyramid fast-broadcasting backend. See the module docs.
 pub struct PyramidServer {
     now: u64,
     config: ServerConfig,
-    disk: DiskSubsystem,
+    /// Disk, dedicated reserve and fault state. The reserve serves
+    /// FF-beyond-front service; its capacity is whatever the channel
+    /// pre-allocation leaves over, mirroring the batching server's
+    /// reserve derivation.
+    faults: DiskFaults,
     pool: BufferPool,
     movies: Vec<PyramidMovie>,
-    /// Dedicated-stream accountant for FF-beyond-front service; capacity
-    /// is whatever the channel pre-allocation leaves over, mirroring the
-    /// batching server's reserve derivation.
-    reserve: StreamReserve,
     sessions: Arena<PSession>,
     /// Waiting-session wakeups keyed by their boundary tick.
     wakeups: TimerWheel<u32>,
@@ -160,16 +138,6 @@ pub struct PyramidServer {
     metrics: ServerMetrics,
     movie_index: BTreeMap<MovieId, usize>,
     startup_waits: Welford,
-    plan: FaultPlan,
-    fault_mode: bool,
-    policy: DegradePolicy,
-    slowdown: Option<(u32, u64)>,
-    recovery_due: BTreeMap<u64, u32>,
-    /// Tick of the most recent recovery that returned streams; a starved
-    /// retry timeout expiring on this exact tick attempts one last lease
-    /// first — recovery wins the same-tick race.
-    recovered_at: Option<u64>,
-    starved_count: u32,
 }
 
 impl PyramidServer {
@@ -217,122 +185,49 @@ impl PyramidServer {
         Self {
             now: 0,
             config,
-            disk,
+            faults: DiskFaults::new(disk, reserve),
             pool,
             movies,
-            reserve,
             sessions: Arena::new(),
             wakeups: TimerWheel::new(),
             active: Vec::new(),
             metrics,
             movie_index,
             startup_waits: Welford::default(),
-            plan: FaultPlan::empty(),
-            fault_mode: false,
-            policy: DegradePolicy::default(),
-            slowdown: None,
-            recovery_due: BTreeMap::new(),
-            recovered_at: None,
-            starved_count: 0,
         }
     }
 
     /// Acquire a dedicated (beyond-front) lease from the reserve.
     fn try_dedicated_lease(&mut self) -> Option<StreamLease> {
-        self.metrics.runtime.acquisition_attempts += 1;
-        let now = self.now as f64;
-        if !self.reserve.try_acquire(now) {
-            return None;
-        }
-        match self.disk.acquire() {
-            Ok(lease) => Some(lease),
-            Err(_) => {
-                self.reserve.release(now);
-                None
-            }
-        }
+        self.faults.acquire(self.now, &mut self.metrics.runtime)
     }
 
     fn release_dedicated_lease(&mut self, lease: StreamLease) {
-        self.disk.release(lease);
-        self.reserve.release(self.now as f64);
+        self.faults.release(self.now, lease);
     }
 
     /// Apply fault events scheduled at the current tick.
     fn apply_faults(&mut self) {
-        if !self.fault_mode {
+        if !self.faults.fault_mode {
             return;
         }
-        if let Some(streams) = self.recovery_due.remove(&self.now) {
-            let recovered = self.disk.recover_streams(streams);
-            self.reserve.recover_streams(recovered);
-            if recovered > 0 {
-                self.recovered_at = Some(self.now);
-            }
-        }
-        let events: Vec<FaultKind> = self
-            .plan
-            .events_at(self.now)
-            .iter()
-            .map(|e| e.kind)
-            .collect();
-        for kind in events {
+        let now = self.now;
+        for kind in self.faults.begin_tick(now) {
             match kind {
-                FaultKind::DiskStreamLoss { count } | FaultKind::DiskOutage { count, .. } => {
-                    let before = self.disk.failed();
-                    let revoked = self.disk.fail_streams(count);
-                    let applied = self.disk.failed().saturating_sub(before);
-                    if let FaultKind::DiskOutage { recover_after, .. } = kind {
-                        *self
-                            .recovery_due
-                            .entry(self.now + recover_after)
-                            .or_insert(0) += applied;
-                    }
-                    let mut channels_lost: u32 = 0;
-                    for m in &mut self.movies {
-                        for lease in m.leases.iter_mut() {
-                            if lease.as_ref().is_some_and(|l| revoked.contains(&l.id())) {
-                                *lease = None;
-                                channels_lost += 1;
-                                self.metrics.leases_revoked += 1;
-                            }
-                        }
-                    }
-                    self.metrics
-                        .playback
-                        .add(self.now as f64, -f64::from(channels_lost));
-                    let now = self.now;
-                    let policy = self.policy;
-                    for idx in 0..self.sessions.slot_count() {
-                        let Some(sess) = self.sessions.at_mut(idx) else {
-                            continue;
-                        };
-                        let dead = sess
-                            .lease
-                            .as_ref()
-                            .is_some_and(|l| revoked.contains(&l.id()));
-                        if dead {
-                            sess.lease = None;
-                            if matches!(sess.state, PState::Vcr { .. }) {
-                                self.metrics.sweeps_aborted += 1;
-                            }
-                            if !matches!(sess.state, PState::Done) {
-                                // Revocation, not a refused acquisition:
-                                // nothing pending to classify yet.
-                                sess.state = starved_state(now, &policy, 0);
-                                self.starved_count += 1;
-                                self.metrics.runtime.degraded_entries += 1;
-                            }
-                            self.metrics.leases_revoked += 1;
-                            self.reserve.release(self.now as f64);
-                        }
-                    }
-                    self.reserve
-                        .fail_streams(applied.saturating_sub(channels_lost));
+                FaultKind::DiskStreamLoss { count } => {
+                    self.fail_streams(count);
+                    self.metrics.runtime.faults_injected += 1;
+                }
+                FaultKind::DiskOutage {
+                    count,
+                    recover_after,
+                } => {
+                    let failed = self.fail_streams(count);
+                    self.faults.recover_later(now, recover_after, failed);
                     self.metrics.runtime.faults_injected += 1;
                 }
                 FaultKind::DiskSlowdown { period, duration } => {
-                    self.slowdown = Some((period.max(1), self.now + duration));
+                    self.faults.slow_down(now, period, duration);
                     self.metrics.runtime.faults_injected += 1;
                 }
                 FaultKind::BufferShrink { segments } => {
@@ -348,18 +243,71 @@ impl PyramidServer {
                 FaultKind::ShardOutage { .. } | FaultKind::ShardRecovery { .. } => {}
             }
         }
-        if let Some((_, until)) = self.slowdown {
-            if self.now >= until {
-                self.slowdown = None;
-            }
-        }
     }
 
-    fn disk_serving(&self) -> bool {
-        match self.slowdown {
-            Some((period, until)) if self.now < until => self.now.is_multiple_of(u64::from(period)),
-            _ => true,
-        }
+    /// Fail `count` disk streams. Revoked channels go off the air (only
+    /// their deliveries stall; the reserve does not absorb their loss);
+    /// sessions whose dedicated lease is revoked starve.
+    fn fail_streams(&mut self, count: u32) -> u32 {
+        let now = self.now;
+        DiskFaults::fail_streams(
+            self,
+            |s| &mut s.faults,
+            now,
+            count,
+            |s, revoked| {
+                s.metrics.leases_revoked += revoked.len() as u64;
+                let mut channels_lost: u32 = 0;
+                for m in &mut s.movies {
+                    for lease in m.leases.iter_mut() {
+                        if lease.as_ref().is_some_and(|l| revoked.contains(&l.id())) {
+                            *lease = None;
+                            channels_lost += 1;
+                        }
+                    }
+                }
+                s.metrics
+                    .playback
+                    .add(now as f64, -f64::from(channels_lost));
+                let mut reserve_holds: u32 = 0;
+                for idx in 0..s.sessions.slot_count() {
+                    let Some(sess) = s.sessions.at_mut(idx) else {
+                        continue;
+                    };
+                    if !sess
+                        .lease
+                        .as_ref()
+                        .is_some_and(|l| revoked.contains(&l.id()))
+                    {
+                        continue;
+                    }
+                    sess.lease = None;
+                    reserve_holds += 1;
+                    if matches!(sess.state, PState::Vcr { .. }) {
+                        s.metrics.sweeps_aborted += 1;
+                    }
+                    if !matches!(sess.state, PState::Done) {
+                        // Revocation, not a refused acquisition: nothing
+                        // pending to classify yet.
+                        sess.state =
+                            PState::Starved(s.faults.degrade(now, 0, &mut s.metrics.runtime));
+                    }
+                }
+                Revoked {
+                    reserve_holds,
+                    outside_reserve: channels_lost,
+                }
+            },
+        )
+    }
+
+    /// A refused acquisition starves session `idx`; the refusal enters
+    /// its retry ledger as pending, classified transient/permanent at
+    /// resolution.
+    fn starve(&mut self, idx: u32) {
+        self.metrics.runtime.resume_starved += 1;
+        let ledger = self.faults.degrade(self.now, 1, &mut self.metrics.runtime);
+        self.sessions.live_at_mut(idx as usize).state = PState::Starved(ledger);
     }
 
     /// Broadcast phase: re-acquire dead channels, then stage each
@@ -373,7 +321,7 @@ impl PyramidServer {
     /// boundary-aligned stall tick against that channel alone; padding
     /// minutes never count.
     fn broadcast(&mut self) {
-        let serving = self.disk_serving();
+        let serving = self.faults.serving(self.now);
         let total: usize = self.movies.iter().map(|m| m.slots.len()).sum();
         let funded = total.saturating_sub(self.pool.overcommitted());
         let mut slot_index: usize = 0;
@@ -381,7 +329,7 @@ impl PyramidServer {
             let mut restored: u32 = 0;
             for ci in 0..self.movies[mi].leases.len() {
                 if self.movies[mi].leases[ci].is_none() {
-                    if let Ok(lease) = self.disk.acquire() {
+                    if let Ok(lease) = self.faults.disk.acquire() {
                         self.movies[mi].leases[ci] = Some(lease);
                         restored += 1;
                     }
@@ -409,7 +357,7 @@ impl PyramidServer {
                 // vod-lint: allow(no-panic) — the on-air check above
                 // guarantees this channel's lease is live.
                 let lease = m.leases[ci].as_ref().expect("channel lease live");
-                match self.disk.read(lease, m.movie, minute) {
+                match self.faults.disk.read(lease, m.movie, minute) {
                     Ok(seg) => {
                         if !verify_segment(&seg) {
                             self.metrics.verify_failures += 1;
@@ -546,7 +494,7 @@ impl DeliveryBackend for PyramidServer {
                         self.metrics.runtime.vcr_denied += 1;
                         // Issue-time Erlang loss: the viewer stays in the
                         // broadcast and never retries this request.
-                        self.reserve.record_denials(1, false);
+                        self.faults.reserve.record_denials(1, false);
                         return Err(ServerError::VcrDenied);
                     }
                 }
@@ -591,7 +539,7 @@ impl DeliveryBackend for PyramidServer {
             PState::Receiving => SessionStatus::Shared,
             PState::Vcr { .. } | PState::Paused { .. } => SessionStatus::InVcr,
             PState::CatchUp => SessionStatus::Dedicated,
-            PState::Starved { .. } => SessionStatus::Degraded,
+            PState::Starved(_) => SessionStatus::Degraded,
             PState::Done => SessionStatus::Done,
         })
     }
@@ -628,7 +576,7 @@ impl DeliveryBackend for PyramidServer {
             Some(lease) => lease,
             None => {
                 self.metrics.runtime.vcr_denied += 1;
-                self.reserve.record_denials(1, false);
+                self.faults.reserve.record_denials(1, false);
                 return Err(ServerError::VcrDenied);
             }
         };
@@ -677,7 +625,6 @@ impl DeliveryBackend for PyramidServer {
             }
         }
         let now = self.now;
-        let policy = self.policy;
         let vcr_rate = self.config.vcr_rate.max(1);
         let mut i = 0;
         while i < self.active.len() {
@@ -691,7 +638,7 @@ impl DeliveryBackend for PyramidServer {
                     PState::Vcr { .. } => 1,
                     PState::Paused { .. } => 2,
                     PState::CatchUp => 3,
-                    PState::Starved { .. } => 4,
+                    PState::Starved(_) => 4,
                     PState::Waiting { .. } | PState::Done => 5,
                 }
             };
@@ -779,16 +726,7 @@ impl DeliveryBackend for PyramidServer {
                                     sess.lease = Some(lease);
                                     sess.state = PState::CatchUp;
                                 }
-                                None => {
-                                    // The refusal enters the degrade
-                                    // ledger as pending; it is classified
-                                    // transient/permanent at resolution.
-                                    self.metrics.runtime.resume_starved += 1;
-                                    self.sessions.live_at_mut(idx as usize).state =
-                                        starved_state(now, &policy, 1);
-                                    self.starved_count += 1;
-                                    self.metrics.runtime.degraded_entries += 1;
-                                }
+                                None => self.starve(idx),
                             }
                         }
                     }
@@ -816,19 +754,13 @@ impl DeliveryBackend for PyramidServer {
                                     sess.lease = Some(lease);
                                     sess.state = PState::CatchUp;
                                 }
-                                None => {
-                                    self.metrics.runtime.resume_starved += 1;
-                                    self.sessions.live_at_mut(idx as usize).state =
-                                        starved_state(now, &policy, 1);
-                                    self.starved_count += 1;
-                                    self.metrics.runtime.degraded_entries += 1;
-                                }
+                                None => self.starve(idx),
                             }
                         }
                     }
                 }
                 3 => {
-                    if !self.disk_serving() {
+                    if !self.faults.serving(now) {
                         self.metrics.runtime.stall_minutes += 1.0;
                     } else {
                         let (position, caught_up) = {
@@ -860,7 +792,8 @@ impl DeliveryBackend for PyramidServer {
                                     // a lease by construction (faults demote to
                                     // Starved when revoking it).
                                     .expect("catch-up session holds lease");
-                                self.disk
+                                self.faults
+                                    .disk
                                     .read(lease, movie, position)
                                     .map(|seg| verify_segment(&seg))
                                     .unwrap_or(false)
@@ -882,109 +815,26 @@ impl DeliveryBackend for PyramidServer {
                     }
                 }
                 4 => {
-                    // Mirrors `VodServer::degraded_tick`: free rejoin
-                    // resolves pending denials permanent; a granted retry
-                    // resolves them transient; the timeout resolves them
-                    // permanent and stops retrying (the looping broadcast
-                    // front still rejoins the session eventually).
+                    // The backend's rejoin test: the looping front swept
+                    // past the starved position. Otherwise the ledger
+                    // steps; a timeout leaves the session waiting for the
+                    // front.
                     self.metrics.runtime.rewait_minutes += 1.0;
-                    let (free, since, next_retry, backoff, pending, exhausted) = {
-                        let sess = self.sessions.live_at(idx as usize);
-                        let PState::Starved {
-                            since,
-                            next_retry,
-                            backoff,
-                            pending_denials,
-                            retries_exhausted,
-                        } = sess.state
-                        else {
-                            unreachable!("state tag checked above");
-                        };
-                        let free = sess.position >= length || sess.rx.received(sess.position);
-                        (
-                            free,
-                            since,
-                            next_retry,
-                            backoff,
-                            pending_denials,
-                            retries_exhausted,
-                        )
+                    let sess = self.sessions.live_at_mut(idx as usize);
+                    let PState::Starved(ledger) = &mut sess.state else {
+                        unreachable!("state tag checked above");
                     };
-                    if free {
-                        // The front swept past the starved position.
-                        self.reserve.record_denials(pending, false);
-                        self.sessions.live_at_mut(idx as usize).state = PState::Receiving;
-                        debug_assert!(self.starved_count > 0, "starved session outside census");
-                        self.starved_count -= 1;
+                    if sess.position >= length || sess.rx.received(sess.position) {
+                        self.faults.exit_degraded(ledger);
                         self.metrics.runtime.degraded_rejoined += 1;
-                    } else if !exhausted && now >= next_retry {
-                        let timed_out = now.saturating_sub(since) >= self.policy.retry_timeout;
-                        // Recovery landing on the timeout tick wins the
-                        // race: one last lease attempt before the ledger
-                        // resolves permanent.
-                        let last_chance = timed_out
-                            && self.policy.recovery_wins
-                            && self.recovered_at == Some(now);
-                        if timed_out && !last_chance {
-                            self.reserve.record_denials(pending, false);
-                            let sess = self.sessions.live_at_mut(idx as usize);
-                            if let PState::Starved {
-                                pending_denials,
-                                retries_exhausted,
-                                ..
-                            } = &mut sess.state
-                            {
-                                *pending_denials = 0;
-                                *retries_exhausted = true;
-                            }
-                        } else {
-                            match self.try_dedicated_lease() {
-                                None if timed_out => {
-                                    // Recovery was not enough: the refused
-                                    // attempt joins the ledger and the
-                                    // timeout proceeds.
-                                    self.reserve.record_denials(pending + 1, false);
-                                    let sess = self.sessions.live_at_mut(idx as usize);
-                                    if let PState::Starved {
-                                        pending_denials,
-                                        retries_exhausted,
-                                        ..
-                                    } = &mut sess.state
-                                    {
-                                        *pending_denials = 0;
-                                        *retries_exhausted = true;
-                                    }
-                                }
-                                Some(lease) => {
-                                    self.reserve.record_denials(pending, true);
-                                    let sess = self.sessions.live_at_mut(idx as usize);
-                                    sess.lease = Some(lease);
-                                    sess.state = PState::CatchUp;
-                                    debug_assert!(
-                                        self.starved_count > 0,
-                                        "starved session outside census"
-                                    );
-                                    self.starved_count -= 1;
-                                    self.metrics.runtime.degraded_dedicated += 1;
-                                }
-                                None => {
-                                    let nb =
-                                        (backoff * 2).min(self.policy.retry_backoff_cap.max(1));
-                                    let sess = self.sessions.live_at_mut(idx as usize);
-                                    if let PState::Starved {
-                                        next_retry,
-                                        backoff,
-                                        pending_denials,
-                                        ..
-                                    } = &mut sess.state
-                                    {
-                                        *pending_denials = pending + 1;
-                                        *next_retry = now + nb;
-                                        *backoff = nb;
-                                    }
-                                }
-                            }
-                        }
+                        sess.state = PState::Receiving;
+                    } else if let RetryStep::Granted(lease) =
+                        self.faults.retry(ledger, now, &mut self.metrics.runtime)
+                    {
+                        self.faults.exit_degraded(ledger);
+                        self.metrics.runtime.degraded_dedicated += 1;
+                        sess.lease = Some(lease);
+                        sess.state = PState::CatchUp;
                     }
                 }
                 _ => {
@@ -1002,17 +852,12 @@ impl DeliveryBackend for PyramidServer {
         let playing = self.metrics.playback.current();
         self.metrics = ServerMetrics::new();
         self.metrics.playback = TimeWeighted::new(now, playing);
-        self.reserve.rebaseline(now);
+        self.faults.reserve.rebaseline(now);
         self.startup_waits = Welford::default();
     }
 
     fn runtime_metrics(&self) -> RuntimeMetrics {
-        let mut rt = self.metrics.runtime.clone();
-        rt.dedicated_avg = self.reserve.average(self.now as f64);
-        rt.dedicated_peak = self.reserve.peak();
-        rt.denied_transient = self.reserve.denied_transient();
-        rt.denied_permanent = self.reserve.denied_permanent();
-        rt
+        self.faults.runtime_metrics(&self.metrics.runtime, self.now)
     }
 
     fn startup_waits(&self) -> &Welford {
@@ -1020,23 +865,11 @@ impl DeliveryBackend for PyramidServer {
     }
 
     fn inject_faults(&mut self, plan: FaultPlan, policy: DegradePolicy) {
-        self.fault_mode = !plan.is_empty();
-        self.plan = plan;
-        self.policy = policy;
+        self.faults.inject(plan, policy);
     }
 
     fn check_invariants(&self) -> Vec<String> {
         let mut v = Vec::new();
-        let disk = &self.disk;
-        if disk.in_use() + disk.available() + disk.failed() != disk.capacity() {
-            v.push(format!(
-                "disk conservation broken: in_use {} + free {} + failed {} != provisioned {}",
-                disk.in_use(),
-                disk.available(),
-                disk.failed(),
-                disk.capacity()
-            ));
-        }
         let channel_live: u32 = self
             .movies
             .iter()
@@ -1061,13 +894,6 @@ impl DeliveryBackend for PyramidServer {
                 }
             }
         }
-        if self.reserve.failed() > disk.failed() {
-            v.push(format!(
-                "reserve failure accounting leads the disk: reserve {} > disk {}",
-                self.reserve.failed(),
-                disk.failed()
-            ));
-        }
         let mut held = 0u32;
         let mut starved = 0u32;
         for idx in 0..self.sessions.slot_count() {
@@ -1084,7 +910,7 @@ impl DeliveryBackend for PyramidServer {
             } else if matches!(sess.state, PState::CatchUp) {
                 v.push(format!("session {idx} is catching up without a lease"));
             }
-            if matches!(sess.state, PState::Starved { .. }) {
+            if matches!(sess.state, PState::Starved(_)) {
                 starved += 1;
             }
             // Prefix-coverage audit: the incremental front must equal a
@@ -1113,18 +939,7 @@ impl DeliveryBackend for PyramidServer {
                 ));
             }
         }
-        if channel_live + held != disk.in_use() {
-            v.push(format!(
-                "lease accounting broken: channels {channel_live} + sessions {held} != disk {}",
-                disk.in_use()
-            ));
-        }
-        if held != self.reserve.in_use() {
-            v.push(format!(
-                "reserve accounting broken: sessions hold {held}, reserve says {}",
-                self.reserve.in_use()
-            ));
-        }
+        v.extend(self.faults.check_invariants(channel_live, held, starved));
         let staging: usize = self.movies.iter().map(|m| m.slots.len()).sum();
         if self.pool.used() != staging {
             v.push(format!(
@@ -1132,17 +947,11 @@ impl DeliveryBackend for PyramidServer {
                 self.pool.used()
             ));
         }
-        if starved != self.starved_count {
-            v.push(format!(
-                "starved population drifted: counted {starved}, tracked {}",
-                self.starved_count
-            ));
-        }
         v
     }
 
     fn degraded_sessions(&self) -> u32 {
-        self.starved_count
+        self.faults.degraded_count
     }
 
     fn sessions_finished(&self) -> u64 {
@@ -1227,7 +1036,7 @@ mod tests {
     fn server_resources_are_load_invariant() {
         let mut s = PyramidServer::new(config());
         let channels = s.movies[0].geometry.channels();
-        let base_in_use = s.disk.in_use();
+        let base_in_use = s.faults.disk.in_use();
         assert_eq!(base_in_use, channels);
         for _ in 0..50 {
             s.open_session(MovieId(0)).unwrap();
@@ -1236,7 +1045,7 @@ mod tests {
             s.tick();
         }
         assert_eq!(
-            s.disk.in_use(),
+            s.faults.disk.in_use(),
             channels,
             "50 viewers cost zero extra streams"
         );
@@ -1273,10 +1082,10 @@ mod tests {
         for _ in 0..5 {
             s.tick();
         }
-        let before = s.reserve.in_use();
+        let before = s.faults.reserve.in_use();
         // Jump 60 minutes ahead — far beyond anything received by t=5.
         s.request_vcr(id, VcrKind::FastForward, 60).unwrap();
-        assert_eq!(s.reserve.in_use(), before + 1, "sweep holds a lease");
+        assert_eq!(s.faults.reserve.in_use(), before + 1, "sweep holds a lease");
         // Drive until the sweep ends and the catch-up merges back.
         let mut merged = false;
         for _ in 0..120 {
@@ -1294,7 +1103,7 @@ mod tests {
             merged,
             "catch-up session must merge back into the broadcast"
         );
-        assert_eq!(s.reserve.in_use(), before, "lease released at merge");
+        assert_eq!(s.faults.reserve.in_use(), before, "lease released at merge");
         assert!(s.metrics.piggyback_merges >= 1);
         let rt = s.runtime_metrics();
         assert!(rt.disk_minutes > 0.0, "the sweep/catch-up was disk-served");
@@ -1316,7 +1125,7 @@ mod tests {
         // 2 channel streams + 10 reserve: a count-11 outage exhausts the
         // free reserve, then revokes the newest channel lease (channel 1,
         // the one carrying minutes 40..119).
-        assert_eq!(s.disk.available(), 10);
+        assert_eq!(s.faults.disk.available(), 10);
         let plan = FaultPlan::new(vec![FaultEvent {
             at: 30,
             kind: FaultKind::DiskOutage {

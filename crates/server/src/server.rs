@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 
 use vod_runtime::{
-    Arena, ArenaId, DegradePolicy, FaultKind, FaultPlan, QuantizedGeometry, ResumeClass,
+    Arena, ArenaId, DegradePolicy, FaultKind, FaultPlan, QuantizedGeometry, ResumeClass, RetryStep,
     RuntimeMetrics, StreamReserve, TimerWheel,
 };
 use vod_workload::{TimeWeighted, VcrKind, Welford};
@@ -31,6 +31,7 @@ use crate::backend::Adoption;
 use crate::buffer::{BufferPool, Partition};
 use crate::content::{verify_segment, MovieId};
 use crate::disk::{DiskSubsystem, StreamLease};
+use crate::faults::{DiskFaults, Revoked};
 use crate::metrics::ServerMetrics;
 use crate::session::{DeliveryStats, SessionId, SessionState, SessionStatus, StreamId};
 use crate::{BufferError, DiskError};
@@ -203,7 +204,14 @@ struct Session {
 pub struct VodServer {
     now: u64,
     config: ServerConfig,
-    disk: DiskSubsystem,
+    /// Disk, VCR reserve and fault state. The reserve's capacity is the
+    /// disk streams left over once the restart schedule's worst case is
+    /// pre-allocated, so VCR service can never eat into the headroom a
+    /// scheduled restart needs (the paper's separation of pre-allocated
+    /// playback resources from the VCR reserve). This static cap is
+    /// equivalent to the dynamic check `available > reserved − in_use`
+    /// whenever the schedule stays within its pre-allocation.
+    faults: DiskFaults,
     pool: BufferPool,
     streams: Arena<ActiveStream>,
     sessions: Arena<Session>,
@@ -236,37 +244,6 @@ pub struct VodServer {
     reference_scan: bool,
     metrics: ServerMetrics,
     movie_index: BTreeMap<MovieId, usize>,
-    /// Dedicated-stream accountant for VCR service. Its capacity is the
-    /// disk streams left over once the restart schedule's worst case is
-    /// pre-allocated, so VCR service can never eat into the headroom a
-    /// scheduled restart needs (the paper's separation of pre-allocated
-    /// playback resources from the VCR reserve). This static cap is
-    /// equivalent to the dynamic check `available > reserved − in_use`
-    /// whenever the schedule stays within its pre-allocation.
-    reserve: StreamReserve,
-    /// Injected fault schedule (empty unless [`VodServer::inject_faults`]
-    /// was called — and then every fault-only code path below stays
-    /// unreachable, keeping fault-free runs bitwise identical).
-    plan: FaultPlan,
-    /// Degradation policy applied to sessions that lose their resources.
-    policy: DegradePolicy,
-    /// True once a non-empty plan is injected; gates the fault-tolerant
-    /// recovery paths (a fault-free server still fails loudly on
-    /// impossible states instead of silently re-queueing).
-    fault_mode: bool,
-    /// Active disk slowdown: `(period, until)` — streams serve only on
-    /// ticks divisible by `period`, through tick `until` exclusive.
-    slowdown: Option<(u32, u64)>,
-    /// Outage recoveries scheduled by tick: streams to return to service.
-    recovery_due: BTreeMap<u64, u32>,
-    /// Tick of the most recent outage recovery that actually returned
-    /// streams to service. Degraded sessions whose retry timeout expires
-    /// on exactly this tick get one last lease attempt before the
-    /// timeout resolves their denials as permanent — recovery wins the
-    /// same-tick race (see `degraded_tick`).
-    recovered_at: Option<u64>,
-    /// Sessions currently in the degraded re-wait state.
-    degraded_count: u32,
     /// Startup waits (minutes from open to scheduled playback start),
     /// one sample per opened session. Lives outside [`RuntimeMetrics`]
     /// because that schema's JSON key order is pinned; backend-generic
@@ -296,7 +273,7 @@ impl VodServer {
         Self {
             now: 0,
             config,
-            disk,
+            faults: DiskFaults::new(disk, reserve),
             pool,
             streams: Arena::new(),
             sessions: Arena::new(),
@@ -308,14 +285,6 @@ impl VodServer {
             reference_scan: false,
             metrics: ServerMetrics::new(),
             movie_index,
-            reserve,
-            plan: FaultPlan::empty(),
-            policy: DegradePolicy::default(),
-            fault_mode: false,
-            slowdown: None,
-            recovery_due: BTreeMap::new(),
-            recovered_at: None,
-            degraded_count: 0,
             startup_waits: Welford::default(),
         }
     }
@@ -325,14 +294,12 @@ impl VodServer {
     /// or advance. Injecting an empty plan leaves behavior bitwise
     /// identical to a server never armed at all.
     pub fn inject_faults(&mut self, plan: FaultPlan, policy: DegradePolicy) {
-        self.fault_mode = !plan.is_empty();
-        self.plan = plan;
-        self.policy = policy;
+        self.faults.inject(plan, policy);
     }
 
     /// Sessions currently in the degraded re-wait state.
     pub fn degraded_sessions(&self) -> u32 {
-        self.degraded_count
+        self.faults.degraded_count
     }
 
     /// Test-only oracle switch: process sessions with the historical full
@@ -349,24 +316,12 @@ impl VodServer {
     /// reserve. Counts the attempt; `None` means the reserve (or, never
     /// in a provisioned server, the disk itself) is exhausted.
     fn try_vcr_lease(&mut self) -> Option<StreamLease> {
-        let now = self.now as f64;
-        self.metrics.runtime.acquisition_attempts += 1;
-        if !self.reserve.try_acquire(now) {
-            return None;
-        }
-        match self.disk.acquire() {
-            Ok(lease) => Some(lease),
-            Err(_) => {
-                self.reserve.release(now);
-                None
-            }
-        }
+        self.faults.acquire(self.now, &mut self.metrics.runtime)
     }
 
     /// Release a dedicated lease back to disk and reserve.
     fn release_vcr_lease(&mut self, lease: StreamLease) {
-        self.disk.release(lease);
-        self.reserve.release(self.now as f64);
+        self.faults.release(self.now, lease);
     }
 
     /// Current virtual time in minutes.
@@ -388,12 +343,7 @@ impl VodServer {
     /// occupancy statistics filled in — directly comparable (same fields,
     /// same meanings) to a `vod-sim` report's runtime metrics.
     pub fn runtime_metrics(&self) -> RuntimeMetrics {
-        let mut rt = self.metrics.runtime.clone();
-        rt.dedicated_avg = self.reserve.average(self.now as f64);
-        rt.dedicated_peak = self.reserve.peak();
-        rt.denied_transient = self.reserve.denied_transient();
-        rt.denied_permanent = self.reserve.denied_permanent();
-        rt
+        self.faults.runtime_metrics(&self.metrics.runtime, self.now)
     }
 
     /// Check the server's conservation invariants and return a
@@ -401,25 +351,13 @@ impl VodServer {
     /// healthy). The chaos harness calls this after every tick; the
     /// checks are pure reads.
     ///
-    /// Invariants: stream conservation (`in_use + free + failed ==
-    /// provisioned`, and every in-use stream is held by exactly one
-    /// lease); the VCR reserve's holds equal the session-held leases;
-    /// buffer accounting (partition capacities sum to the pool's `used`,
-    /// never overcommitted between ticks); enrollment counts match the
-    /// sessions pointing at each stream; no session slot is lost; the
-    /// degraded population matches the states.
+    /// Invariants: the shared stream-ledger audit (disk conservation,
+    /// every in-use stream held by exactly one lease, reserve holds equal
+    /// the session-held leases, the degraded census); buffer accounting
+    /// (partition capacities sum to the pool's `used`, never
+    /// overcommitted between ticks); enrollment counts match the sessions
+    /// pointing at each stream; no session slot is lost.
     pub fn check_invariants(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        let disk = &self.disk;
-        if disk.in_use() + disk.available() + disk.failed() != disk.capacity() {
-            v.push(format!(
-                "disk conservation broken: in_use {} + free {} + failed {} != provisioned {}",
-                disk.in_use(),
-                disk.available(),
-                disk.failed(),
-                disk.capacity()
-            ));
-        }
         let stream_leases = self
             .streams
             .iter()
@@ -430,19 +368,14 @@ impl VodServer {
             .iter()
             .filter(|(_, s)| s.lease.is_some())
             .count() as u32;
-        if stream_leases + session_leases != disk.in_use() {
-            v.push(format!(
-                "lease conservation broken: streams hold {stream_leases}, sessions hold \
-                 {session_leases}, disk says {} in use",
-                disk.in_use()
-            ));
-        }
-        if session_leases != self.reserve.in_use() {
-            v.push(format!(
-                "reserve drift: sessions hold {session_leases} dedicated leases, reserve says {}",
-                self.reserve.in_use()
-            ));
-        }
+        let degraded = self
+            .sessions
+            .iter()
+            .filter(|(_, s)| matches!(s.state, SessionState::Degraded(_)))
+            .count() as u32;
+        let mut v = self
+            .faults
+            .check_invariants(stream_leases, session_leases, degraded);
         let partition_segments: usize = self
             .streams
             .iter()
@@ -491,17 +424,6 @@ impl VodServer {
                     }
                 }
             }
-        }
-        let degraded = self
-            .sessions
-            .iter()
-            .filter(|(_, s)| matches!(s.state, SessionState::Degraded { .. }))
-            .count() as u32;
-        if degraded != self.degraded_count {
-            v.push(format!(
-                "degraded population drift: {degraded} sessions vs counter {}",
-                self.degraded_count
-            ));
         }
         if !self.reference_scan {
             self.check_scheduler_invariants(&mut v);
@@ -559,7 +481,7 @@ impl VodServer {
         let playing = self.metrics.playback.current();
         self.metrics = ServerMetrics::new();
         self.metrics.playback = TimeWeighted::new(now, playing);
-        self.reserve.rebaseline(now);
+        self.faults.reserve.rebaseline(now);
         self.startup_waits = Welford::default();
     }
 
@@ -571,7 +493,7 @@ impl VodServer {
 
     /// Disk subsystem state (for capacity assertions in tests).
     pub fn disk(&self) -> &DiskSubsystem {
-        &self.disk
+        &self.faults.disk
     }
 
     /// Buffer pool state.
@@ -660,7 +582,7 @@ impl VodServer {
                     // the refusal is permanent; transient/permanent
                     // classification of the *displaced session* lives in
                     // the front tier's `FederationMetrics`.
-                    self.reserve.record_denials(1, false);
+                    self.faults.reserve.record_denials(1, false);
                     return Err(ServerError::VcrDenied);
                 }
             },
@@ -714,10 +636,11 @@ impl VodServer {
             // refused outright — playback (and recovery) has priority
             // over fresh VCR service. Unreachable without injected
             // faults, so fault-free denial behavior is unchanged.
-            if self.fault_mode && (self.degraded_count > 0 || self.disk.failed() > 0) {
+            let f = &mut self.faults;
+            if f.fault_mode && (f.degraded_count > 0 || f.disk.failed() > 0) {
                 self.metrics.runtime.vcr_denied += 1;
                 self.metrics.vcr_denied_degraded += 1;
-                self.reserve.record_denials(1, false);
+                f.reserve.record_denials(1, false);
                 return Err(ServerError::VcrDenied);
             }
             match self.try_vcr_lease() {
@@ -726,7 +649,7 @@ impl VodServer {
                     self.metrics.runtime.vcr_denied += 1;
                     // Issue-time Erlang loss: the viewer stays in the
                     // batch and never retries this request — permanent.
-                    self.reserve.record_denials(1, false);
+                    self.faults.reserve.record_denials(1, false);
                     return Err(ServerError::VcrDenied);
                 }
             }
@@ -741,8 +664,7 @@ impl VodServer {
         // A paused viewer consumes nothing: release any dedicated stream.
         if matches!(kind, VcrKind::Pause) {
             if let Some(lease) = sess.lease.take() {
-                self.disk.release(lease);
-                self.reserve.release(self.now as f64);
+                self.faults.release(self.now, lease);
             }
         }
         // Leave the partition, if enrolled.
@@ -778,8 +700,7 @@ impl VodServer {
             // A degraded session that quits resolves its retry denials as
             // permanent (no retry ever succeeded) and leaves the degraded
             // population.
-            let pending = self.exit_degraded(idx);
-            self.reserve.record_denials(pending, false);
+            self.exit_degraded(idx);
             let sess = self.sessions.live_at_mut(idx);
             if matches!(sess.state, SessionState::Waiting { .. }) {
                 // The wheel still holds this session's wakeup; it fires
@@ -836,7 +757,7 @@ impl VodServer {
     /// Advance one virtual minute.
     pub fn tick(&mut self) {
         let t = self.now;
-        if self.fault_mode {
+        if self.faults.fault_mode {
             self.apply_faults(t);
         }
         self.retire_streams();
@@ -856,23 +777,8 @@ impl VodServer {
     // ---- faults ------------------------------------------------------------
 
     /// Apply scheduled recoveries and fault events for tick `t`.
-    /// Recoveries land first so an outage ending exactly when a new fault
-    /// strikes frees capacity before the new fault consumes it.
     fn apply_faults(&mut self, t: u64) {
-        if let Some(count) = self.recovery_due.remove(&t) {
-            let recovered = self.disk.recover_streams(count);
-            self.reserve.recover_streams(recovered);
-            if recovered > 0 {
-                self.recovered_at = Some(t);
-            }
-        }
-        if let Some((_, until)) = self.slowdown {
-            if t >= until {
-                self.slowdown = None;
-            }
-        }
-        let due: Vec<FaultKind> = self.plan.events_at(t).iter().map(|e| e.kind).collect();
-        for kind in due {
+        for kind in self.faults.begin_tick(t) {
             match kind {
                 FaultKind::DiskStreamLoss { count } => {
                     self.metrics.runtime.faults_injected += 1;
@@ -884,16 +790,11 @@ impl VodServer {
                 } => {
                     self.metrics.runtime.faults_injected += 1;
                     let failed = self.fail_disk_streams(t, count);
-                    if failed > 0 {
-                        let due = t + recover_after.max(1);
-                        *self.recovery_due.entry(due).or_insert(0) += failed;
-                    }
+                    self.faults.recover_later(t, recover_after, failed);
                 }
                 FaultKind::DiskSlowdown { period, duration } => {
                     self.metrics.runtime.faults_injected += 1;
-                    if period > 1 {
-                        self.slowdown = Some((period, t + duration));
-                    }
+                    self.faults.slow_down(t, period, duration);
                 }
                 FaultKind::BufferShrink { segments } => {
                     self.metrics.runtime.faults_injected += 1;
@@ -913,29 +814,35 @@ impl VodServer {
     }
 
     /// Remove `count` disk streams from service, degrading every holder
-    /// of a revoked lease. Returns how many streams actually failed.
+    /// of a revoked lease. Returns how many streams actually failed. The
+    /// reserve absorbs the loss first: its dedicated share shrinks before
+    /// the playback pre-allocation does.
     fn fail_disk_streams(&mut self, t: u64, count: u32) -> u32 {
-        let failed_before = self.disk.failed();
-        let revoked = self.disk.fail_streams(count);
-        // `fail_streams` only ever grows the failed count, but keep the
-        // difference total-order-safe anyway: a future recovery path
-        // interleaved here must shrink this delta, never wrap it.
-        let newly_failed = self.disk.failed().saturating_sub(failed_before);
-        // Mirror the capacity loss into the VCR reserve: the dedicated
-        // share shrinks before the playback pre-allocation does.
-        self.reserve.fail_streams(newly_failed);
-        self.metrics.leases_revoked += revoked.len() as u64;
-        for id in revoked {
-            self.strip_revoked_lease(t, id);
-        }
-        newly_failed
+        DiskFaults::fail_streams(
+            self,
+            |s| &mut s.faults,
+            t,
+            count,
+            |s, revoked| {
+                s.metrics.leases_revoked += revoked.len() as u64;
+                let mut reserve_holds = 0;
+                for &id in revoked {
+                    reserve_holds += u32::from(s.strip_revoked_lease(t, id));
+                }
+                Revoked {
+                    reserve_holds,
+                    outside_reserve: 0,
+                }
+            },
+        )
     }
 
     /// Find the holder of revoked lease `id`, drop the dead lease, and
     /// degrade the holder. A playback stream loses its partition (its
     /// enrolled readers degrade); a dedicated/VCR session loses its
-    /// stream and re-queues.
-    fn strip_revoked_lease(&mut self, t: u64, id: u64) {
+    /// stream and re-queues. Returns whether a session held it — a
+    /// reserve slot the caller releases.
+    fn strip_revoked_lease(&mut self, t: u64, id: u64) -> bool {
         for stream_idx in 0..self.streams.slot_count() {
             let Some(sid) = self.streams.id_at(stream_idx) else {
                 continue;
@@ -949,7 +856,7 @@ impl VodServer {
             if holds {
                 self.metrics.playback.add(t as f64, -1.0);
                 self.kill_stream(t, sid);
-                return;
+                return false;
             }
         }
         for idx in 0..self.sessions.slot_count() {
@@ -960,16 +867,16 @@ impl VodServer {
             if holds {
                 let sess = self.sessions.live_at_mut(idx);
                 // The lease is already dead at the disk; drop it without a
-                // disk release, but return the hold to the reserve.
+                // disk release.
                 sess.lease = None;
-                self.reserve.release(t as f64);
                 if matches!(sess.state, SessionState::VcrActive { .. }) {
                     self.metrics.sweeps_aborted += 1;
                 }
                 self.enter_degraded(t, idx);
-                return;
+                return true;
             }
         }
+        false
     }
 
     /// Retire stream `sid` immediately: degrade its enrolled readers,
@@ -986,7 +893,7 @@ impl VodServer {
         }
         if let Some(mut s) = self.streams.remove(sid) {
             if let Some(lease) = s.lease.take() {
-                self.disk.release(lease);
+                self.faults.disk.release(lease);
             }
             self.pool.release(s.partition.capacity());
         }
@@ -1013,14 +920,6 @@ impl VodServer {
         }
     }
 
-    /// Is disk service stalled at tick `t` by an active slowdown fault?
-    fn disk_stalled(&self, t: u64) -> bool {
-        match self.slowdown {
-            Some((period, until)) => t < until && !t.is_multiple_of(period as u64),
-            None => false,
-        }
-    }
-
     /// Move session `idx` into the degraded re-wait state (it has already
     /// been detached from any stream, partition, or lease).
     fn enter_degraded(&mut self, t: u64, idx: usize) {
@@ -1036,16 +935,8 @@ impl VodServer {
         ) {
             return;
         }
-        sess.state = SessionState::Degraded {
-            since: t,
-            next_retry: t + self.policy.rewait_bound.max(1),
-            backoff: self.policy.retry_backoff.max(1),
-            pending_denials: 0,
-            retries_exhausted: false,
-        };
+        sess.state = SessionState::Degraded(self.faults.degrade(t, 0, &mut self.metrics.runtime));
         sess.piggyback_phase = 0;
-        self.degraded_count += 1;
-        self.metrics.runtime.degraded_entries += 1;
     }
 
     // ---- streams -----------------------------------------------------------
@@ -1061,7 +952,7 @@ impl VodServer {
                     if s.next_read >= geometry.length {
                         // Release the disk lease as soon as displaying ends.
                         if let Some(lease) = s.lease.take() {
-                            self.disk.release(lease);
+                            self.faults.disk.release(lease);
                             self.metrics.playback.add(self.now as f64, -1.0);
                         }
                         // Keep the frozen partition until its trailing
@@ -1088,7 +979,7 @@ impl VodServer {
             if !t.is_multiple_of(geometry.restart_interval as u64) {
                 continue;
             }
-            let lease = match self.disk.acquire() {
+            let lease = match self.faults.disk.acquire() {
                 Ok(l) => l,
                 Err(_) => {
                     self.metrics.runtime.restart_failures += 1;
@@ -1100,7 +991,7 @@ impl VodServer {
                 .reserve(geometry.partition_capacity as usize)
                 .is_err()
             {
-                self.disk.release(lease);
+                self.faults.disk.release(lease);
                 self.metrics.runtime.restart_failures += 1;
                 continue;
             }
@@ -1120,7 +1011,7 @@ impl VodServer {
     }
 
     fn advance_streams(&mut self, t: u64) {
-        let stalled = self.disk_stalled(t);
+        let stalled = !self.faults.serving(t);
         for i in 0..self.streams.slot_count() {
             let Some(s) = self.streams.at_mut(i) else {
                 continue;
@@ -1138,6 +1029,7 @@ impl VodServer {
             // next_read ≥ length, and the guard above skips exactly those streams.
             let lease = s.lease.as_ref().expect("playing stream holds a lease");
             let seg = self
+                .faults
                 .disk
                 .read(lease, hosted.movie, s.next_read)
                 // vod-lint: allow(no-panic) — next_read < length above bounds the read.
@@ -1246,7 +1138,7 @@ impl VodServer {
                 SessionState::Enrolled { .. } => Act::Enrolled,
                 SessionState::Dedicated => Act::Dedicated,
                 SessionState::VcrActive { kind, .. } => Act::Vcr(kind),
-                SessionState::Degraded { .. } => Act::Degraded,
+                SessionState::Degraded(_) => Act::Degraded,
             }
         };
         match act {
@@ -1295,9 +1187,11 @@ impl VodServer {
     }
 
     /// One degraded re-wait tick: free batch rejoin if a live window
-    /// covers the position; otherwise, past the re-wait bound, retry
-    /// dedicated acquisition with exponential backoff until the timeout,
-    /// after which only batch admission remains. See [`DegradePolicy`].
+    /// covers the position; otherwise the session's [`RetryLedger`]
+    /// steps (backoff retries, then the timeout, after which only batch
+    /// admission remains). See [`DegradePolicy`].
+    ///
+    /// [`RetryLedger`]: vod_runtime::RetryLedger
     fn degraded_tick(&mut self, t: u64, idx: usize) {
         self.metrics.runtime.rewait_minutes += 1.0;
         let (movie_idx, position) = {
@@ -1307,130 +1201,33 @@ impl VodServer {
         if let Some(stream) = self.joinable_stream(movie_idx, position) {
             // Rejoined the batch: the dedicated retries (if any) never
             // succeeded, so their denials resolve as permanent.
-            let pending = self.exit_degraded(idx);
-            self.reserve.record_denials(pending, false);
+            self.exit_degraded(idx);
             self.metrics.runtime.degraded_rejoined += 1;
             self.sessions.live_at_mut(idx).state = SessionState::Enrolled { stream };
             self.streams.live_mut(stream.0).enrolled += 1;
             self.consume_enrolled(t, idx);
             return;
         }
-        let (since, next_retry, backoff, pending, exhausted) = {
-            let sess = self.sessions.live_at(idx);
-            let SessionState::Degraded {
-                since,
-                next_retry,
-                backoff,
-                pending_denials,
-                retries_exhausted,
-            } = sess.state
-            else {
-                unreachable!("caller checked state")
-            };
-            (
-                since,
-                next_retry,
-                backoff,
-                pending_denials,
-                retries_exhausted,
-            )
-        };
-        if exhausted || t < next_retry {
-            return;
-        }
-        if t.saturating_sub(since) >= self.policy.retry_timeout {
-            // Timeout — but when an outage recovery landed on this very
-            // tick, recovery wins the race: the streams it returned are
-            // exactly what the session has been retrying for, so give it
-            // one last lease attempt before the sequence resolves. Only
-            // if that attempt also fails does the timeout proceed.
-            if self.policy.recovery_wins
-                && self.recovered_at == Some(t)
-                && self.degraded_retry_lease(t, idx, pending, backoff)
-            {
-                return;
-            }
-            // Give up on dedicated service, classify the whole retry
-            // sequence as permanently denied, and fall back to batch
-            // admission (keep waiting for a window rejoin). A refused
-            // last-chance attempt above added one pending denial; read
-            // the live count so it resolves with the rest.
-            let pending = match self.sessions.live_at(idx).state {
-                SessionState::Degraded {
-                    pending_denials, ..
-                } => pending_denials,
-                _ => pending,
-            };
-            self.reserve.record_denials(pending, false);
-            let sess = self.sessions.live_at_mut(idx);
-            if let SessionState::Degraded {
-                pending_denials,
-                retries_exhausted,
-                ..
-            } = &mut sess.state
-            {
-                *pending_denials = 0;
-                *retries_exhausted = true;
-            }
-            return;
-        }
-        self.degraded_retry_lease(t, idx, pending, backoff);
-    }
-
-    /// One dedicated-stream retry for degraded session `idx`. On success
-    /// the session exits degraded into `Dedicated` (pending denials
-    /// resolve transient) and `true` returns; on refusal the backoff
-    /// ledger advances and `false` returns.
-    fn degraded_retry_lease(&mut self, t: u64, idx: usize, pending: u64, backoff: u64) -> bool {
-        match self.try_vcr_lease() {
-            Some(lease) => {
-                // Retry succeeded: earlier refusals in this sequence were
-                // transient denials.
-                let pending = self.exit_degraded(idx);
-                self.reserve.record_denials(pending, true);
-                self.metrics.runtime.degraded_dedicated += 1;
-                let sess = self.sessions.live_at_mut(idx);
-                sess.lease = Some(lease);
-                sess.state = SessionState::Dedicated;
-                sess.piggyback_phase = 0;
-                true
-            }
-            None => {
-                let next_backoff = (backoff * 2).min(self.policy.retry_backoff_cap.max(1));
-                let sess = self.sessions.live_at_mut(idx);
-                if let SessionState::Degraded {
-                    next_retry,
-                    backoff,
-                    pending_denials,
-                    ..
-                } = &mut sess.state
-                {
-                    *pending_denials = pending + 1;
-                    *next_retry = t + next_backoff;
-                    *backoff = next_backoff;
-                }
-                false
-            }
-        }
-    }
-
-    /// Leave the degraded state (recovery or close); returns the pending
-    /// denial count awaiting classification and fixes the population
-    /// counter. The caller sets the next state.
-    fn exit_degraded(&mut self, idx: usize) -> u64 {
         let sess = self.sessions.live_at_mut(idx);
-        let SessionState::Degraded {
-            pending_denials, ..
-        } = sess.state
-        else {
-            return 0;
+        let SessionState::Degraded(ledger) = &mut sess.state else {
+            unreachable!("caller checked state")
         };
-        debug_assert!(
-            self.degraded_count > 0,
-            "degraded session outside the census"
-        );
-        self.degraded_count -= 1;
-        pending_denials
+        // A timeout leaves the session degraded, waiting for a rejoin.
+        if let RetryStep::Granted(lease) = self.faults.retry(ledger, t, &mut self.metrics.runtime) {
+            self.faults.exit_degraded(ledger);
+            self.metrics.runtime.degraded_dedicated += 1;
+            sess.lease = Some(lease);
+            sess.state = SessionState::Dedicated;
+            sess.piggyback_phase = 0;
+        }
+    }
+
+    /// Leave the degraded state (rejoin or close), resolving pending
+    /// denials as permanent. The caller sets the next state.
+    fn exit_degraded(&mut self, idx: usize) {
+        if let SessionState::Degraded(ledger) = &self.sessions.live_at(idx).state {
+            self.faults.exit_degraded(ledger);
+        }
     }
 
     /// Consume the next segment from the enrolled partition.
@@ -1464,7 +1261,7 @@ impl VodServer {
                         }
                         ok
                     }
-                    None if self.fault_mode => {
+                    None if self.faults.fault_mode => {
                         // Under faults an uncovered position has two honest
                         // outcomes instead of a panic: the stream has not yet
                         // produced the segment (disk slowdown — stall with it),
@@ -1511,7 +1308,7 @@ impl VodServer {
     /// Consume via the session's dedicated lease; piggyback toward the
     /// preceding partition when enabled.
     fn consume_dedicated(&mut self, t: u64, idx: usize) {
-        if self.disk_stalled(t) {
+        if !self.faults.serving(t) {
             self.metrics.runtime.stall_minutes += 1.0;
             return;
         }
@@ -1569,7 +1366,8 @@ impl VodServer {
                 // vod-lint: allow(no-panic) — Dedicated/VcrActive states imply a
                 // held lease; the state machine never drops one while reading.
                 .expect("dedicated session holds a lease");
-            self.disk
+            self.faults
+                .disk
                 .read(lease, movie, position)
                 // vod-lint: allow(no-panic) — callers check position < length
                 // before every dedicated read.
@@ -1587,7 +1385,7 @@ impl VodServer {
     }
 
     fn sweep_forward(&mut self, t: u64, idx: usize) {
-        if self.disk_stalled(t) {
+        if !self.faults.serving(t) {
             self.metrics.runtime.stall_minutes += 1.0;
             return;
         }
@@ -1625,7 +1423,7 @@ impl VodServer {
     }
 
     fn sweep_backward(&mut self, t: u64, idx: usize) {
-        if self.disk_stalled(t) {
+        if !self.faults.serving(t) {
             self.metrics.runtime.stall_minutes += 1.0;
             return;
         }
@@ -1658,8 +1456,11 @@ impl VodServer {
                     // vod-lint: allow(no-panic) — a rewinding session acquired its
                     // lease in request_vcr and keeps it until resume.
                     .expect("rewinding session holds a lease");
-                // vod-lint: allow(no-panic) — target < position ≤ length bounds the read.
-                self.disk.read(lease, movie, target).expect("in range")
+                self.faults
+                    .disk
+                    .read(lease, movie, target)
+                    // vod-lint: allow(no-panic) — target < position ≤ length bounds the read.
+                    .expect("in range")
             };
             let ok = verify_segment(&seg);
             let sess = self.sessions.live_at_mut(idx);
@@ -1779,5 +1580,43 @@ impl VodServer {
         }
         self.sessions.live_at_mut(idx).state = SessionState::Done;
         self.metrics.sessions_done += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vod_runtime::FaultEvent;
+
+    /// Total disk loss while both reserve streams are held: the holders'
+    /// slots are released *before* the reserve fails its share, so the
+    /// lost streams show up as failed, not as free reserve capacity.
+    #[test]
+    fn total_disk_loss_fails_released_reserve_holds() {
+        let movie = HostedMovie::from_allocation(MovieId(0), 30, 3, 15.0);
+        let mut s = VodServer::new(ServerConfig {
+            piggyback: None,
+            ..ServerConfig::provisioned(vec![movie], 2)
+        });
+        s.inject_faults(
+            FaultPlan::new(vec![FaultEvent {
+                at: 12,
+                kind: FaultKind::DiskStreamLoss { count: 100 },
+            }]),
+            DegradePolicy::default(),
+        );
+        s.run(11);
+        for _ in 0..2 {
+            let (_, adoption) = s.adopt_session(MovieId(0), 25).unwrap();
+            assert_eq!(adoption, Adoption::DedicatedStream);
+        }
+        let reserve = &s.faults.reserve;
+        assert_eq!(reserve.free(), Some(0), "both reserve streams held");
+        s.run(2);
+        let (disk, reserve) = (&s.faults.disk, &s.faults.reserve);
+        assert_eq!(disk.failed(), disk.capacity(), "total loss");
+        assert_eq!(reserve.failed(), 2);
+        assert_eq!(reserve.free(), Some(0), "lost streams are not free");
+        assert!(s.check_invariants().is_empty());
     }
 }

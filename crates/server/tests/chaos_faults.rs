@@ -11,8 +11,9 @@ use proptest::prelude::*;
 use vod_dist::kinds::Gamma;
 use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan};
 use vod_server::{
-    run_chaos, run_chaos_backend, run_harness, HarnessConfig, HostedMovie, MovieId, ServerConfig,
-    ServerError, SessionStatus, VodServer, WorkloadConfig, WorkloadShape,
+    make_backend, run_chaos, run_chaos_backend, run_harness, Adoption, DeliveryBackend,
+    HarnessConfig, HostedMovie, MovieId, ServerConfig, ServerError, SessionId, SessionStatus,
+    VodServer, WorkloadConfig, WorkloadShape,
 };
 use vod_workload::{BehaviorModel, VcrKind};
 
@@ -140,22 +141,47 @@ fn outage_revokes_leases_then_dedicated_retry_succeeds() {
     assert_eq!(stats.verify_failures, 0);
 }
 
-/// The same-tick recovery-vs-timeout race, resolved for recovery. The
-/// timeline is exact: outage degrades the viewer at 12, retries fail at
-/// 14 and 16 (backoff 1 → 2 → 4), and with `retry_timeout = 8` the next
-/// retry, the timeout expiry, *and* the outage recovery
-/// (`recover_after: 8`) all land on tick 20. With `recovery_wins` the
-/// session gets one last lease attempt against the just-returned
-/// streams before the timeout resolves — and it must succeed, because
-/// the streams that came back are exactly what it was retrying for.
-#[test]
-fn recovery_landing_on_the_timeout_tick_wins_the_race() {
-    let movie = HostedMovie::from_allocation(MovieId(0), 30, 3, 15.0);
-    let mut server = VodServer::new(ServerConfig {
+/// Tick a backend once and assert every conservation invariant holds.
+fn checked_backend_tick(backend: &mut dyn DeliveryBackend) {
+    backend.tick();
+    let violations = backend.check_invariants();
+    assert!(
+        violations.is_empty(),
+        "{}: invariants violated: {violations:?}",
+        backend.kind()
+    );
+}
+
+fn run_backend_checked(backend: &mut dyn DeliveryBackend, minutes: u64) {
+    for _ in 0..minutes {
+        checked_backend_tick(backend);
+    }
+}
+
+/// `l = 30, n = 3, B = 15` quantizes to `T = 10, b = 5`: the batching
+/// server restarts at 0, 10, 20, …; the pyramid backend derives three
+/// channels with `d = 5` (minutes 0–4, 5–14 and 15–29 loop with periods
+/// 5, 10 and 20); the dedicated backend unicasts from the same pool.
+fn race_config() -> ServerConfig {
+    ServerConfig {
         piggyback: None,
-        ..ServerConfig::provisioned(vec![movie], 2)
-    });
-    server.inject_faults(
+        ..ServerConfig::provisioned(
+            vec![HostedMovie::from_allocation(MovieId(0), 30, 3, 15.0)],
+            2,
+        )
+    }
+}
+
+/// The race timeline shared by every backend: a viewer adopted at
+/// `t = 11` at position 25 holds a dedicated stream (no batch window,
+/// broadcast prefix or queue covers it), reads minute 25, and loses the
+/// stream when a total outage strikes at 12. Retries are refused at 14
+/// and 16 (backoff 1 → 2 → 4), and with `retry_timeout = 8` the next
+/// retry, the timeout expiry *and* the outage recovery
+/// (`recover_after: 8`) all land on tick 20.
+fn race_backend(kind: BackendKind, policy: DegradePolicy) -> (Box<dyn DeliveryBackend>, SessionId) {
+    let mut backend = make_backend(kind, &race_config());
+    backend.inject_faults(
         FaultPlan::new(vec![FaultEvent {
             at: 12,
             kind: FaultKind::DiskOutage {
@@ -165,83 +191,126 @@ fn recovery_landing_on_the_timeout_tick_wins_the_race() {
         }]),
         DegradePolicy {
             retry_timeout: 8,
-            recovery_wins: true,
-            ..DegradePolicy::default()
+            ..policy
         },
     );
-    let viewer = server.open_session(MovieId(0)).unwrap();
-    run_checked(&mut server, 13); // through the t = 12 outage
+    run_backend_checked(backend.as_mut(), 11);
+    let (viewer, adoption) = backend.adopt_session(MovieId(0), 25).unwrap();
+    assert_eq!(adoption, Adoption::DedicatedStream, "{kind}");
+    run_backend_checked(backend.as_mut(), 2); // through the t = 12 outage
     assert_eq!(
-        server.session_status(viewer).unwrap(),
-        SessionStatus::Degraded
+        backend.session_status(viewer).unwrap(),
+        SessionStatus::Degraded,
+        "{kind}: the outage revoked the viewer's stream"
     );
-    run_checked(&mut server, 8); // retries refused at 14/16; race tick 20
+    (backend, viewer)
+}
+
+/// The viewer finished the movie byte-exact: delayed, never dropped.
+fn assert_played_out(backend: &dyn DeliveryBackend, viewer: SessionId) {
+    let kind = backend.kind();
     assert_eq!(
-        server.session_status(viewer).unwrap(),
-        SessionStatus::Dedicated,
-        "recovery landing on the timeout tick must win the race"
+        backend.session_status(viewer).unwrap(),
+        SessionStatus::Done,
+        "{kind}"
     );
-    let rt = server.runtime_metrics();
-    assert_eq!(rt.degraded_dedicated, 1);
-    assert_eq!(
-        rt.denied_transient, 2,
-        "the 14/16 refusals classify as transient once the last chance lands"
-    );
-    assert_eq!(rt.denied_permanent, 0);
-    run_checked(&mut server, 40);
-    assert_eq!(server.session_status(viewer).unwrap(), SessionStatus::Done);
-    let stats = server.session_stats(viewer).unwrap();
-    assert_eq!(stats.total(), 30);
-    assert_eq!(stats.verify_failures, 0);
+    assert_eq!(backend.session_position(viewer).unwrap(), 30, "{kind}");
+    assert_eq!(backend.degraded_sessions(), 0, "{kind}");
+    assert_eq!(backend.verify_failures(), 0, "{kind}");
+}
+
+/// The same-tick recovery-vs-timeout race, resolved for recovery on
+/// every backend. With `recovery_wins` the session gets one last lease
+/// attempt against the just-returned streams before the timeout
+/// resolves — and it must succeed, because the streams that came back
+/// are exactly what it was retrying for.
+#[test]
+fn recovery_landing_on_the_timeout_tick_wins_the_race() {
+    for kind in BackendKind::ALL {
+        let policy = DegradePolicy {
+            recovery_wins: true,
+            ..DegradePolicy::default()
+        };
+        let (mut backend, viewer) = race_backend(kind, policy);
+        run_backend_checked(backend.as_mut(), 8); // retries refused at 14/16; race tick 20
+        assert_eq!(
+            backend.session_status(viewer).unwrap(),
+            SessionStatus::Dedicated,
+            "{kind}: recovery landing on the timeout tick must win the race"
+        );
+        let rt = backend.runtime_metrics();
+        assert_eq!(rt.degraded_dedicated, 1, "{kind}");
+        assert_eq!(
+            rt.denied_transient, 2,
+            "{kind}: the 14/16 refusals classify as transient once the last chance lands"
+        );
+        assert_eq!(rt.denied_permanent, 0, "{kind}");
+        run_backend_checked(backend.as_mut(), 40);
+        assert_played_out(backend.as_ref(), viewer);
+    }
 }
 
 /// The identical timeline under the default policy
 /// (`recovery_wins: false`, the historical order): the timeout resolves
 /// *before* the same-tick recovery, so the retry sequence classifies as
 /// permanently denied even though capacity came back that very tick.
-/// The viewer is delayed, never dropped — it rejoins a later restart's
-/// batch window and still completes byte-exact.
+/// Each backend then takes its own exit — batching waits for a later
+/// restart's window, pyramid for the looping broadcast front, dedicated
+/// re-queues for a free stream — and the viewer still completes.
 #[test]
 fn default_policy_resolves_timeout_before_same_tick_recovery() {
-    let movie = HostedMovie::from_allocation(MovieId(0), 30, 3, 15.0);
-    let mut server = VodServer::new(ServerConfig {
-        piggyback: None,
-        ..ServerConfig::provisioned(vec![movie], 2)
-    });
-    server.inject_faults(
-        FaultPlan::new(vec![FaultEvent {
-            at: 12,
-            kind: FaultKind::DiskOutage {
-                count: 100,
-                recover_after: 8,
-            },
-        }]),
-        DegradePolicy {
-            retry_timeout: 8,
-            ..DegradePolicy::default()
-        },
-    );
-    let viewer = server.open_session(MovieId(0)).unwrap();
-    run_checked(&mut server, 21); // same timeline through the race tick
-    assert_eq!(
-        server.session_status(viewer).unwrap(),
-        SessionStatus::Degraded,
-        "timeout-first order must not grant the dedicated stream"
-    );
-    let rt = server.runtime_metrics();
-    assert_eq!(rt.degraded_dedicated, 0);
-    assert_eq!(rt.denied_transient, 0);
-    assert_eq!(
-        rt.denied_permanent, 2,
-        "the 14/16 refusals resolve permanent at the timeout"
-    );
-    run_checked(&mut server, 60); // a later restart's window covers position 12
-    assert_eq!(server.session_status(viewer).unwrap(), SessionStatus::Done);
-    let rt = server.runtime_metrics();
-    assert_eq!(rt.degraded_rejoined, 1, "batch admission remains open");
-    let stats = server.session_stats(viewer).unwrap();
-    assert_eq!(stats.total(), 30, "delayed, never dropped");
-    assert_eq!(stats.verify_failures, 0);
+    for kind in BackendKind::ALL {
+        let (mut backend, viewer) = race_backend(kind, DegradePolicy::default());
+        run_backend_checked(backend.as_mut(), 8); // same timeline through the race tick
+        let after_timeout = if kind == BackendKind::DedicatedStream {
+            SessionStatus::Waiting(22)
+        } else {
+            SessionStatus::Degraded
+        };
+        assert_eq!(
+            backend.session_status(viewer).unwrap(),
+            after_timeout,
+            "{kind}: timeout-first order must not grant the dedicated stream"
+        );
+        let rt = backend.runtime_metrics();
+        assert_eq!(rt.degraded_dedicated, 0, "{kind}");
+        assert_eq!(rt.denied_transient, 0, "{kind}");
+        assert_eq!(
+            rt.denied_permanent, 2,
+            "{kind}: the 14/16 refusals resolve permanent at the timeout"
+        );
+        run_backend_checked(backend.as_mut(), 60);
+        let rt = backend.runtime_metrics();
+        assert_eq!(
+            rt.degraded_rejoined, 1,
+            "{kind}: batch admission remains open"
+        );
+        assert_played_out(backend.as_ref(), viewer);
+    }
+}
+
+/// An outage with `recover_after: 0` still recovers, one tick later, on
+/// every backend: the recovery must never be scheduled on the tick whose
+/// recoveries were already drained, or the streams never come back.
+#[test]
+fn zero_tick_outage_recovers_on_every_backend() {
+    for kind in BackendKind::ALL {
+        let mut backend = make_backend(kind, &race_config());
+        backend.inject_faults(
+            FaultPlan::new(vec![FaultEvent {
+                at: 12,
+                kind: FaultKind::DiskOutage {
+                    count: 100,
+                    recover_after: 0,
+                },
+            }]),
+            DegradePolicy::default(),
+        );
+        let viewer = backend.open_session(MovieId(0)).unwrap();
+        run_backend_checked(backend.as_mut(), 200);
+        assert_eq!(backend.runtime_metrics().faults_injected, 1, "{kind}");
+        assert_played_out(backend.as_ref(), viewer);
+    }
 }
 
 /// A disk slowdown stalls enrolled playback on off-period ticks (the
